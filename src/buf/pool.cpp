@@ -192,7 +192,7 @@ Slice::Slice(const Slice& other) noexcept
       len_(other.len_),
       crc_(other.crc_),
       crc_known_(other.crc_known_) {
-  if (ctrl_ != nullptr) ctrl_->refs.add(1);
+  if (ctrl_ != nullptr) ++ctrl_->refs;
 }
 
 Slice::Slice(Slice&& other) noexcept
@@ -204,7 +204,7 @@ Slice::Slice(Slice&& other) noexcept
 
 Slice& Slice::operator=(const Slice& other) noexcept {
   if (this == &other) return *this;
-  if (other.ctrl_ != nullptr) other.ctrl_->refs.add(1);
+  if (other.ctrl_ != nullptr) ++other.ctrl_->refs;
   release();
   ctrl_ = other.ctrl_;
   off_ = other.off_;
@@ -226,7 +226,7 @@ Slice& Slice::operator=(Slice&& other) noexcept {
 }
 
 void Slice::release() noexcept {
-  if (ctrl_ != nullptr && ctrl_->refs.sub(1) == 0) {
+  if (ctrl_ != nullptr && --ctrl_->refs == 0) {
     Pool::instance().retire(ctrl_);
   }
   ctrl_ = nullptr;
@@ -238,7 +238,7 @@ void Slice::release() noexcept {
 Slice Slice::subslice(std::size_t off, std::size_t len) const {
   if (len == 0 || ctrl_ == nullptr) return {};
   if (off == 0 && len == len_) return *this;  // keeps the CRC memo
-  ctrl_->refs.add(1);
+  ++ctrl_->refs;
   return {ctrl_, off_ + off, len};
 }
 
@@ -352,7 +352,7 @@ void Pool::recycle(std::vector<std::byte> v) noexcept {
 
 Slice Pool::wrap(std::vector<std::byte> v) {
   std::size_t n = v.size();
-  auto* ctrl = new detail::Ctrl{std::move(v), chk::SharedCount{1}};
+  auto* ctrl = new detail::Ctrl{std::move(v), 1};
   ++outstanding_;
   return {ctrl, 0, n};
 }
@@ -379,8 +379,8 @@ void Pool::disown_one() noexcept {
 
 // --- copy accounting (declared in copy.hpp) --------------------------------
 
-detail::CopyTally& detail::copy_tally() noexcept {
-  static CopyTally tally;
+CopyStats& detail::copy_tally() noexcept {
+  static CopyStats tally;
   return tally;
 }
 

@@ -23,11 +23,8 @@
 // Storage vectors are recycled through per-capacity-class free lists
 // (class k holds capacities in [2^k, 2^(k+1))), so steady-state traffic
 // performs no heap allocation for payload bytes. The pool is process-wide
-// shared state under the PDES engine, so the free lists, the outstanding
-// count and the stats are guarded by pool_mu_ (a zero-cost chk::SimLock in
-// the sequential engine). Slice refcounts are chk::SharedCount: payload
-// views of a forwarded frame cross logical processes, so bumps and releases
-// can happen from different workers inside one parallel window.
+// shared state, so the free lists, the outstanding count and the stats are
+// annotated as guarded by pool_mu_ (a zero-cost chk::SimLock).
 //
 // A chk::Audit validator ("buf.pool") reports any Buffer or Slice not
 // returned at quiesce, catching leaked references in protocol state.
@@ -39,7 +36,6 @@
 #include <vector>
 
 #include "chk/audit.hpp"
-#include "chk/parallel.hpp"
 #include "chk/thread_annotations.hpp"
 
 namespace meshmp::buf {
@@ -52,13 +48,10 @@ class Pool;
 class Buffer;
 
 namespace detail {
-/// Shared storage block behind one or more Slices. The refcount is a
-/// chk::SharedCount: a forwarded frame's payload view crosses logical
-/// processes, so copies and releases can race during a parallel window
-/// (plain increments in the sequential engine, atomics under mt_active).
+/// Shared storage block behind one or more Slices, with their refcount.
 struct Ctrl {
   std::vector<std::byte> bytes;
-  chk::SharedCount refs;
+  std::uint32_t refs = 0;
 };
 }  // namespace detail
 

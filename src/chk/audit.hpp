@@ -33,10 +33,9 @@ struct Violation {
 };
 
 /// Process-wide validator registry. The entry table, violation log and
-/// failure handler are guarded by audit_mu_ (a zero-cost chk::SimLock until
-/// the PDES engine lands); validators and handlers always run *outside* the
-/// lock so they can re-enter fail()/unwatch() without self-deadlocking once
-/// the lock is real.
+/// failure handler are guarded by audit_mu_ (a zero-cost chk::SimLock);
+/// validators and handlers always run *outside* the guard so they can
+/// re-enter fail()/unwatch().
 // meshmp-lint: shared-state
 class Audit {
  public:

@@ -1,27 +1,17 @@
 #pragma once
 
 // Clang thread-safety annotations behind MESHMP_* macros, plus the zero-cost
-// SimLock capability the single-threaded engine annotates against today.
+// SimLock capability the shared-state hot spots annotate against.
 //
-// The multicore PDES engine will contend on a handful of shared structures
-// (the sim::Engine event queue, buf::Pool free lists, the obs and chk
-// registries). Before any worker thread exists, those hot spots declare
-// their locking discipline here: members carry MESHMP_GUARDED_BY, private
-// helpers carry MESHMP_REQUIRES, and public entry points take a
-// SimLockGuard. Under Clang, -Wthread-safety (promoted to an error by
-// MESHMP_THREAD_SAFETY) then checks the discipline statically on every
-// build; under GCC the annotations compile to nothing.
-//
-// SimLock is a conditional mutex: while the process is single-threaded
-// (chk::mt_active() false — no engine worker team exists) lock()/unlock()
-// are a relaxed flag check the optimizer keeps out of the hot path, so the
-// sequential engine pays almost nothing. The moment a parallel engine spawns
-// its worker team the same annotated, already-checked acquire points become
-// real std::mutex synchronization — no re-audit of the call graph required.
-
-#include <mutex>
-
-#include "chk/parallel.hpp"
+// The engine is single-threaded, but a few structures are process-wide
+// shared state (buf::Pool free lists, the obs and chk registries, waiter
+// lists of the sync primitives). They declare their locking discipline
+// here: members carry MESHMP_GUARDED_BY, private helpers carry
+// MESHMP_REQUIRES, and public entry points take a SimLockGuard. Under Clang,
+// -Wthread-safety (promoted to an error by MESHMP_THREAD_SAFETY) then checks
+// the discipline statically on every build; under GCC the annotations
+// compile to nothing. SimLock itself is annotation-only: lock() and unlock()
+// are empty, so the discipline costs nothing at run time.
 
 #if defined(__clang__)
 #define MESHMP_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -60,46 +50,16 @@
 
 namespace meshmp::chk {
 
-/// The capability the engine's shared-state hot spots annotate against.
-/// Lock operations are a no-op while the process is single-threaded and a
-/// real std::mutex while an engine worker team exists (chk::mt_active()).
-///
-/// The engaged_ flag records whether this *acquisition* took the mutex, so
-/// an activation flip between lock() and unlock() can never unbalance the
-/// mutex. The flip itself only happens on the coordinator thread while no
-/// worker is executing (team spawn/join), so skipped locks are never
-/// actually contended. engaged_ is written only by the current holder:
-/// under the mutex when it was taken, and in a single-threaded regime when
-/// it was skipped.
+/// The capability shared-state hot spots annotate against. Annotation-only:
+/// the simulator runs on one thread, so acquiring it is a no-op.
 class MESHMP_CAPABILITY("mutex") SimLock {
  public:
   SimLock() noexcept = default;
   SimLock(const SimLock&) = delete;
   SimLock& operator=(const SimLock&) = delete;
 
-  void lock() noexcept MESHMP_ACQUIRE() {
-    if (mt_active()) {
-      mu_.lock();
-      engaged_ = true;
-    }
-  }
-  void unlock() noexcept MESHMP_RELEASE() {
-    if (engaged_) {
-      engaged_ = false;
-      mu_.unlock();
-    }
-  }
-  bool try_lock() noexcept MESHMP_TRY_ACQUIRE(true) {
-    if (mt_active()) {
-      if (!mu_.try_lock()) return false;
-      engaged_ = true;
-    }
-    return true;
-  }
-
- private:
-  std::mutex mu_;
-  bool engaged_ = false;
+  void lock() noexcept MESHMP_ACQUIRE() {}
+  void unlock() noexcept MESHMP_RELEASE() {}
 };
 
 /// RAII guard for SimLock; the annotated analogue of std::lock_guard.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "buf/pool.hpp"
-#include "sim/lp.hpp"
 #include "sim/sync.hpp"
 #include "via/header.hpp"
 
@@ -93,9 +92,6 @@ void ClusterLifecycle::start() {
   cluster_.set_crash_hooks([this](topo::Rank r) { on_crash(r); },
                            [this](topo::Rank r) { on_restart(r); });
   for (topo::Rank r = 0; r < cluster_.size(); ++r) {
-    // Detector loops belong to their node's logical process: their timers and
-    // sends must shard with the node, not pile onto the control LP.
-    sim::LpScope scope(cluster_.engine(), cluster_.lp_of(r));
     heartbeat_loop(r, ctl_[idx(r)].gen).detach();
     monitor_loop(r, ctl_[idx(r)].gen).detach();
     accept_loop(r).detach();
@@ -152,7 +148,6 @@ void ClusterLifecycle::on_restart(topo::Rank r) {
   remote_degraded_[idx(r)].assign(idx(cluster_.size()), 0);
   ctl_[idx(r)].ls_pending.assign(idx(cluster_.size()), 0);
   ctl_[idx(r)].ls_any = false;
-  sim::LpScope scope(cluster_.engine(), cluster_.lp_of(r));
   heartbeat_loop(r, gen).detach();
   monitor_loop(r, gen).detach();
   rejoin(r, gen).detach();

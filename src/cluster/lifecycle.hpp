@@ -281,11 +281,10 @@ class ClusterLifecycle {
 
   std::vector<QuorumSide> side_;         ///< per node, from its own view
   std::vector<sim::Time> minority_since_;  ///< -1 while primary
-  /// Guards the cross-node tallies below: per-node state (views_, ctl_,
-  /// side_) is only ever touched from its own rank's logical process, but
-  /// the partition counters and heal-convergence tracking are written by
-  /// whichever rank's transition fires, concurrently during parallel
-  /// windows. Zero-cost in the sequential engine.
+  /// Annotates the cross-node tallies below (zero-cost): per-node state
+  /// (views_, ctl_, side_) belongs to one rank, but the partition counters
+  /// and heal-convergence tracking are written by whichever rank's
+  /// transition fires.
   mutable chk::SimLock shared_mu_;
   /// Heal-convergence tracking: set at the first carrier-up heal evidence of
   /// a cycle, cleared when every pending node's view is dead-free again.
@@ -301,7 +300,7 @@ class ClusterLifecycle {
   obs::Histogram& heal_conv_hist_;  ///< heal evidence -> dead-free view, ns
 
   // -- gray-failure state ---------------------------------------------------
-  /// Per-node port-quality trackers; only touched from the owning rank's LP.
+  /// Per-node port-quality trackers; only touched by the owning rank.
   std::vector<net::LinkQuality> quality_;
   /// link_seen_[observer][subject]: highest LinkRecord version applied — the
   /// kLinkState flood-termination gate, per (observer, subject).

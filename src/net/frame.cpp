@@ -21,8 +21,7 @@ struct MetaBlock {
   MetaBlock* next;
 };
 
-// Guarded the same way as buf::Pool: a zero-cost chk::SimLock seam that a
-// future multicore PDES engine turns into a real mutex.
+// Annotated the same way as buf::Pool: a zero-cost chk::SimLock.
 chk::SimLock g_meta_mu;
 MetaBlock* g_meta_free MESHMP_GUARDED_BY(g_meta_mu) = nullptr;
 

@@ -29,7 +29,7 @@ std::pair<double, double> bucket_range(int k) {
 
 }  // namespace
 
-void Histogram::add_direct(std::int64_t value, std::int64_t weight) {
+void Histogram::add(std::int64_t value, std::int64_t weight) {
   if (weight <= 0) return;
   const auto w = static_cast<std::uint64_t>(weight);
   buckets_[bucket_of(value)] += w;
@@ -42,22 +42,6 @@ void Histogram::add_direct(std::int64_t value, std::int64_t weight) {
   }
   count_ += w;
   sum_ += value * weight;
-}
-
-void Histogram::set_shards(int nworkers) {
-  const int want = nworkers > 1 ? nworkers - 1 : 0;
-  if (want == nshards_) return;
-  shards_ = want > 0 ? std::make_unique<Histogram[]>(
-                           static_cast<std::size_t>(want))
-                     : nullptr;
-  nshards_ = want;
-}
-
-void Histogram::merge_shards() {
-  for (int i = 0; i < nshards_; ++i) {
-    merge(shards_[i]);
-    shards_[i] = Histogram{};
-  }
 }
 
 double Histogram::quantile(double q) const {
@@ -209,20 +193,7 @@ Histogram& Registry::histogram(const std::string& name) {
     if (n == name) return *h;
   }
   hists_.emplace_back(name, std::make_unique<Histogram>());
-  if (shard_width_ > 0) hists_.back().second->set_shards(shard_width_);
   return *hists_.back().second;
-}
-
-void Registry::begin_parallel(unsigned nworkers) {
-  chk::SimLockGuard g(reg_mu_);
-  shard_width_ = static_cast<int>(nworkers);
-  for (auto& [name, h] : hists_) h->set_shards(shard_width_);
-}
-
-void Registry::end_parallel() {
-  chk::SimLockGuard g(reg_mu_);
-  shard_width_ = 0;
-  for (auto& [name, h] : hists_) h->merge_shards();
 }
 
 Snapshot Registry::snapshot() const {

@@ -83,14 +83,6 @@ class Counters {
 /// sizes in bytes). Bucket k >= 1 holds values in [2^(k-1), 2^k); bucket 0
 /// holds zeros. Percentiles interpolate linearly inside the bucket and are
 /// clamped to the observed [min, max].
-///
-/// Parallel-engine sharding: interned registry histograms are shared by
-/// every node's hardware, so during a parallel window adds from engine
-/// worker w >= 1 are routed into a private per-worker shard (coordinator
-/// adds, worker 0, stay direct — it is the only direct writer). The engine
-/// merges shards back after each run (Registry::end_parallel); merging is a
-/// pure bucket/count sum, so totals are independent of which worker
-/// happened to own which LP and the snapshot stays deterministic.
 class Histogram {
  public:
   static constexpr int kBuckets = 65;  // zeros + one per bit of magnitude
@@ -101,22 +93,7 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void add(std::int64_t value, std::int64_t weight = 1) {
-    if (shards_ != nullptr) {
-      const int w = chk::worker_index();
-      if (w >= 1 && w <= nshards_) {
-        shards_[w - 1].add_direct(value, weight);
-        return;
-      }
-    }
-    add_direct(value, weight);
-  }
-
-  /// Arms `nworkers - 1` per-worker shards (idempotent for the same width);
-  /// 0 or 1 disarms. Engine-coordinator-only, between windows.
-  void set_shards(int nworkers);
-  /// Folds every shard back into the base histogram and empties it.
-  void merge_shards();
+  void add(std::int64_t value, std::int64_t weight = 1);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::int64_t sum() const noexcept { return sum_; }
@@ -145,15 +122,11 @@ class Histogram {
   }
 
  private:
-  void add_direct(std::int64_t value, std::int64_t weight);
-
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;
-  std::unique_ptr<Histogram[]> shards_;  // per-worker, workers 1..nshards_
-  int nshards_ = 0;
 };
 
 /// One aggregated histogram in a snapshot.
@@ -189,10 +162,9 @@ struct Snapshot {
 /// snapshots. Detaching folds the final values into retired totals.
 ///
 /// The source list, retired totals and histogram intern table are guarded by
-/// reg_mu_ (a zero-cost chk::SimLock until the PDES engine lands). Two
-/// deliberate seams stay outside the lock: attached Counters objects are
-/// owned by their components, and interned Histogram references are stable
-/// (heap-owned) but their add() path is the owning partition's to serialize.
+/// reg_mu_ (a zero-cost chk::SimLock). Attached Counters objects stay owned
+/// by their components, and interned Histogram references are stable
+/// (heap-owned).
 // meshmp-lint: shared-state
 class Registry {
  public:
@@ -242,13 +214,6 @@ class Registry {
   /// it for isolation.
   void reset();
 
-  /// Parallel-engine hooks (coordinator-only, outside any window): arm
-  /// per-worker shards on every interned histogram for a run with
-  /// `nworkers` workers, and fold them back when the run finishes.
-  /// Histograms interned mid-run are armed on creation.
-  void begin_parallel(unsigned nworkers);
-  void end_parallel();
-
  private:
   struct Source {
     std::uint64_t id = 0;
@@ -268,7 +233,6 @@ class Registry {
   Counters retired_ MESHMP_GUARDED_BY(reg_mu_);  // keyed "<group>.<key>"
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> hists_
       MESHMP_GUARDED_BY(reg_mu_);
-  int shard_width_ MESHMP_GUARDED_BY(reg_mu_) = 0;  // workers in the active run
 };
 
 }  // namespace meshmp::obs

@@ -30,8 +30,7 @@
 //     simulated timestamps only, never from host state, so two runs of the
 //     same program make identical structural decisions.
 //
-// Thread-safety: neither class locks; both are owned by sim::Engine and
-// guarded by its queue_mu_ (see MESHMP_GUARDED_BY annotations there).
+// Neither class locks: both are owned by the single-threaded sim::Engine.
 
 #include <array>
 #include <cstddef>

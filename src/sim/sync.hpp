@@ -7,14 +7,11 @@
 // function of program order, and call stacks stay flat no matter how deep the
 // protocol layering gets.
 //
-// Parallel engine: a primitive may be shared across logical processes (a
-// TaskGroup joining rank coroutines that migrated to their nodes' LPs), so
-// waiter lists are guarded by a chk::SimLock — zero-cost in the sequential
-// engine, a real mutex during parallel windows. Wakes still go through
-// Engine::post, so a woken coroutine migrates to its waker's LP. Signal
-// carries a notification epoch and every wait loop captures the awaiter
-// *before* testing its predicate; a notification landing between the test
-// and the suspension is then observed by the awaiter instead of lost.
+// Waiter lists are annotated against a chk::SimLock (zero-cost; see
+// chk/thread_annotations.hpp). Signal carries a notification epoch and every
+// wait loop captures the awaiter *before* testing its predicate; a
+// notification landing between the test and the suspension is then observed
+// by the awaiter instead of lost.
 
 #include <cassert>
 #include <coroutine>
@@ -27,7 +24,6 @@
 #include <vector>
 
 #include "chk/audit.hpp"
-#include "chk/parallel.hpp"
 #include "chk/thread_annotations.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -400,7 +396,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void add(Task<> task) {
-    pending_.add(1);
+    ++pending_;
     wrap(std::move(task)).detach();
   }
 
@@ -413,7 +409,7 @@ class TaskGroup {
   Task<> join() {
     for (;;) {
       auto next = done_.next();  // created before the test: no lost wakeup
-      if (pending_.load() == 0) break;
+      if (pending_ == 0) break;
       co_await next;
     }
     std::exception_ptr e;
@@ -425,7 +421,7 @@ class TaskGroup {
   }
 
   [[nodiscard]] int pending() const noexcept {
-    return static_cast<int>(pending_.load());
+    return pending_;
   }
 
  private:
@@ -443,11 +439,11 @@ class TaskGroup {
     }
     // Order matters: the join loop re-reads pending_ after observing the
     // epoch bump, so the decrement must come first.
-    pending_.sub(1);
+    --pending_;
     done_.notify_all();
   }
 
-  chk::SharedCount pending_;
+  int pending_ = 0;
   Signal done_;
   mutable chk::SimLock err_mu_;
   std::exception_ptr error_ MESHMP_GUARDED_BY(err_mu_);

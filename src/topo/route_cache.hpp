@@ -15,10 +15,9 @@
 // clear(); the map is a chk::FlatMap because route state must never iterate
 // in hash order.
 //
-// The cache is shared by every node's failure handling, which under the
-// parallel engine runs on per-node logical processes: the table is guarded
-// by a chk::SimLock and get() hands out a copy rather than a reference into
-// the map (an insert on another LP may rehash underneath a reference).
+// The cache is shared by every node's failure handling: the table is
+// annotated against a chk::SimLock, and get() hands out a copy rather than a
+// reference into the map (a later insert may move the map's storage).
 
 #include <cstdint>
 #include <vector>
@@ -36,8 +35,8 @@ class RouteTableCache {
   /// `degraded` egress links, computed at most once per distinct
   /// (src, dead, degraded) triple — the degraded set is part of the cache
   /// key, so a score change can never be served a stale table. Returned by
-  /// value: the cache may be hit from several logical processes, so
-  /// references into it are not stable.
+  /// value: a later insert may move the map's storage, so references into
+  /// it are not stable.
   std::vector<std::int8_t> get(const Torus& torus, Rank src,
                                const std::vector<bool>& dead,
                                const std::vector<DirMask>& degraded = {});

@@ -1,7 +1,6 @@
-// R4 fixture: raw threading primitives outside the src/sim/ + src/chk/
-// threading layer. The rule keys on the path containing neither a sim/ nor
-// a chk/ component, so this file stands in for any src/<subsystem>/ source.
-// Lint-only — never compiled.
+// R4 fixture: raw threading primitives, banned everywhere under src/. This
+// file stands in for any src/<subsystem>/ source. Lint-only — never
+// compiled.
 
 #include <atomic>  // LINT-EXPECT[R4]
 #include <mutex>   // LINT-EXPECT[R4]
@@ -29,8 +28,7 @@ inline void fenced() {
   std::atomic_thread_fence(std::memory_order_acquire);  // LINT-EXPECT[R4]
 }
 
-// Legal: the chk wrappers are the sanctioned synchronization surface — a
-// SimLock is a no-op until an engine worker team activates it.
+// Legal: chk::SimLock is the sanctioned (annotation-only) capability.
 struct Guarded {
   chk::SimLock mu;
   int value MESHMP_GUARDED_BY(mu) = 0;

@@ -7,12 +7,13 @@ Three gates:
      line may produce any. This asserts both directions: each rule fires on
      its known-bad shape, and each suppression/legal variant stays silent.
   2. src/ stays lint-clean (exit 0, zero findings) with the checked-in
-     allowlist.
+     allowlist, and R4 exempts no layer of src/.
   3. The allowlist mechanism filters a finding (and only that finding).
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -88,8 +89,8 @@ def main():
     # Gate 2b: the gray-failure fault/score path specifically is free of
     # wall-clock randomness (D2). These files hold every die roll and window
     # edge of the gray campaigns — flaky drop/dup/reorder decisions, quality
-    # EWMA sampling, phi timeouts — and the run-twice / thread-matrix digest
-    # guarantees are only as good as this gate. Run WITHOUT the allowlist so
+    # EWMA sampling, phi timeouts — and the run-twice digest guarantee is
+    # only as good as this gate. Run WITHOUT the allowlist so
     # a future allowlist entry can never quietly exempt them.
     gray_files = [
         os.path.join("src", "flt", "fault.cpp"),
@@ -102,6 +103,18 @@ def main():
     check(code == 0 and not d2,
           f"gray flt/score code has no wall-clock randomness "
           f"(exit {code}, {len(d2)} D2 findings)")
+
+    # Gate 2c: R4 covers every layer — the threading fixture yields the same
+    # findings when it sits under src/sim/ or src/chk/.
+    threading = os.path.join(FIXTURE_DIR, "bad_threading.cpp")
+    with tempfile.TemporaryDirectory() as tmp:
+        for layer in ("sim", "chk"):
+            dst = os.path.join(tmp, "src", layer, "bad_threading.cpp")
+            os.makedirs(os.path.dirname(dst))
+            shutil.copy(threading, dst)
+            _, got = run_lint([dst])
+            check(got == expected_findings(threading),
+                  f"R4 fires under src/{layer}/ as well")
 
     # Gate 3: an allowlist entry filters exactly the finding it names.
     bad_copy = os.path.join(FIXTURE_DIR, "bad_copy.cpp")

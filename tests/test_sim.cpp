@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,6 +95,52 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_FALSE(eng.run_until(100_ns));
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(eng.now(), 100);
+}
+
+TEST(Engine, RunUntilRejectsPastTime) {
+  Engine eng;
+  eng.run_until(100_ns);
+  EXPECT_THROW(eng.run_until(50_ns), std::invalid_argument);
+  EXPECT_EQ(eng.now(), 100);
+}
+
+TEST(Engine, ZeroDelaySelfChainRunsAtOneTimestamp) {
+  Engine eng;
+  int chain = 0;
+  eng.schedule(1_us, [&] {
+    ++chain;
+    eng.schedule(0, [&] {
+      ++chain;
+      eng.schedule(0, [&] { ++chain; });
+    });
+  });
+  eng.run();
+  EXPECT_EQ(chain, 3);
+  EXPECT_EQ(eng.now(), 1_us);
+  EXPECT_EQ(eng.executed(), 3u);
+}
+
+constexpr Time kTimeMax = std::numeric_limits<Time>::max();
+
+TEST(Engine, ScheduleAtOneTickBeforeTimeMaxRuns) {
+  Engine eng;
+  bool ran = false;
+  eng.schedule_at(kTimeMax - 1, [&] { ran = true; });
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(eng.now(), kTimeMax - 1);
+}
+
+TEST(Engine, OverflowingDelaySaturatesInsteadOfWrapping) {
+  // now() + delay exceeds the representable horizon: the event lands at
+  // Time-max rather than wrapping into the past (UBSan flags the overflow).
+  Engine eng;
+  eng.run_until(1_us);
+  bool ran = false;
+  eng.schedule(kTimeMax, [&] { ran = true; });
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(eng.now(), kTimeMax);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

@@ -34,10 +34,9 @@ Concurrency readiness
       // meshmp-lint: unshared(<reason>).
   R4  no raw threading primitives (std::thread, std::mutex and friends,
       std::condition_variable, std::atomic*, lock helpers, futures, or
-      their headers) outside src/sim/ and src/chk/: simulation code
-      synchronizes through chk::SimLock / chk::SharedCount and the engine's
-      LP partition — a raw primitive elsewhere bypasses the determinism
-      model and the single-threaded-until-partitioned contract.
+      their headers) anywhere under src/: the simulator runs on one thread
+      and shared state is annotated against chk::SimLock — a raw primitive
+      bypasses the determinism model and the single-threaded contract.
       Suppress: // meshmp-lint: raw-threading-ok(<reason>)
 
 Hot path
@@ -223,17 +222,7 @@ def in_sim_core(path):
     return "sim" in parts
 
 
-def in_threading_layer(path):
-    """src/sim/ and src/chk/ are the only layers allowed to touch raw
-    threading primitives (the worker team and the SimLock/SharedCount
-    wrappers it activates)."""
-    parts = os.path.normpath(path).split(os.sep)
-    return "sim" in parts or "chk" in parts
-
-
 def check_raw_threading(path, lines):
-    if in_threading_layer(path):
-        return []
     out = []
     for i, raw in enumerate(lines):
         code = strip_comment(raw)
@@ -244,9 +233,9 @@ def check_raw_threading(path, lines):
             continue
         out.append(Finding(
             "R4", path, i + 1,
-            "raw threading primitive outside src/sim/ + src/chk/: "
-            "synchronize through chk::SimLock / chk::SharedCount and the "
-            "engine's LP partition instead (or annotate raw-threading-ok)",
+            "raw threading primitive: the simulator is single-threaded; "
+            "annotate shared state against chk::SimLock instead (or "
+            "annotate raw-threading-ok)",
             raw))
     return out
 
