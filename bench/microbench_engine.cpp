@@ -35,6 +35,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+
+// Out of line so GCC does not inline std::free into the replacement
+// operator delete and then report a new/free mismatch at its call sites
+// (-Wmismatched-new-delete fires under the sanitizer builds).
+[[gnu::noinline]] void heap_free(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -43,10 +48,10 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { heap_free(p); }
+void operator delete[](void* p) noexcept { heap_free(p); }
+void operator delete(void* p, std::size_t) noexcept { heap_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { heap_free(p); }
 
 namespace {
 

@@ -43,7 +43,7 @@
 //
 // Detection and rejoin latencies (crash/restart sim-time to each survivor's
 // view transition) are recorded into obs histograms and therefore appear in
-// ClusterReport.metrics.
+// obs::Registry snapshots.
 //
 // Partition tolerance (split-brain safety): after every applied record each
 // node re-evaluates the strict-majority quorum rule (membership.hpp) over

@@ -1,6 +1,5 @@
 #include "cluster/myrinet.hpp"
 
-#include <any>
 #include <cstring>
 #include <cassert>
 #include <stdexcept>
@@ -20,12 +19,7 @@ struct GmHeader {
   std::uint32_t frag = 0;
   std::uint32_t nfrags = 1;
   std::uint64_t msg_bytes = 0;
-
-  // Carried per-frame inside Frame::meta — use the pooled meta freelist.
-  MESHMP_POOLED_META()
 };
-
-static_assert(sizeof(GmHeader) <= net::kMetaBlockBytes);
 
 bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
@@ -92,7 +86,7 @@ Task<> GmPort::send(int dst, int tag, std::vector<std::byte> data) {
     h.frag = i;
     h.nfrags = nfrags;
     h.msg_bytes = static_cast<std::uint64_t>(total);
-    f.meta = h;
+    f.meta = net::Header(h);
     f.stamp_checksum();
     to_switch_.send(std::move(f));
   }
@@ -100,7 +94,7 @@ Task<> GmPort::send(int dst, int tag, std::vector<std::byte> data) {
 }
 
 void GmPort::deliver(net::Frame f) {
-  const auto* h = std::any_cast<GmHeader>(&f.meta);
+  const auto* h = f.meta.get<GmHeader>();
   assert(h != nullptr);
   Partial& p = partial_[static_cast<std::size_t>(f.src)];
   if (!p.active) {

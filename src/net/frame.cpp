@@ -1,9 +1,6 @@
 #include "net/frame.hpp"
 
-#include <new>
-
 #include "buf/pool.hpp"
-#include "chk/thread_annotations.hpp"
 
 namespace meshmp::net {
 
@@ -11,45 +8,6 @@ namespace meshmp::net {
 // wrapper keeps the historical net-level entry point for callers and tests.
 std::uint32_t crc32(std::span<const std::byte> data) {
   return buf::crc32(data);
-}
-
-namespace {
-
-// Blocks are never returned to the OS — the high-water population is a few
-// hundred (frames in flight plus retransmit queues).
-struct MetaBlock {
-  MetaBlock* next;
-};
-
-// Annotated the same way as buf::Pool: a zero-cost chk::SimLock.
-chk::SimLock g_meta_mu;
-MetaBlock* g_meta_free MESHMP_GUARDED_BY(g_meta_mu) = nullptr;
-
-}  // namespace
-
-void* meta_alloc(std::size_t bytes) {
-  if (bytes > kMetaBlockBytes) return ::operator new(bytes);
-  {
-    chk::SimLockGuard g(g_meta_mu);
-    if (g_meta_free != nullptr) {
-      MetaBlock* b = g_meta_free;
-      g_meta_free = b->next;
-      return b;
-    }
-  }
-  return ::operator new(kMetaBlockBytes);
-}
-
-void meta_free(void* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (bytes > kMetaBlockBytes) {
-    ::operator delete(p);
-    return;
-  }
-  auto* b = static_cast<MetaBlock*>(p);
-  chk::SimLockGuard g(g_meta_mu);
-  b->next = g_meta_free;
-  g_meta_free = b;
 }
 
 }  // namespace meshmp::net

@@ -10,12 +10,16 @@
 // The payload is a buf::Slice: a refcounted view into pooled storage, so
 // copying a frame (per-hop forwarding, retransmit queues, DMA staging) bumps
 // a refcount instead of duplicating bytes. Modeled copy costs are charged
-// separately through buf::charge_copy; see src/buf/.
+// separately through buf::charge_copy; see src/buf/. The protocol header is
+// shared the same way: a net::Header is written once by the sending
+// protocol and every copy of the frame points at the same block.
 
-#include <any>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "buf/pool.hpp"
@@ -29,30 +33,69 @@ using NodeId = std::int32_t;
 /// CRC-32 (IEEE 802.3 polynomial, bit-reflected) over a byte range.
 std::uint32_t crc32(std::span<const std::byte> data);
 
-/// Freelist allocator for the protocol headers carried in Frame::meta.
-/// std::any heap-allocates one header per frame (and per frame *copy* —
-/// retransmit queues, per-hop event captures), which made malloc a hot-path
-/// cost. Protocol header types route their class-level operator new/delete
-/// here so steady-state frames recycle fixed blocks instead. Requests larger
-/// than the block size fall through to the global allocator.
-[[nodiscard]] void* meta_alloc(std::size_t bytes);
-void meta_free(void* p, std::size_t bytes) noexcept;
+/// Protocol-private frame header (e.g. via::ViaHeader), written once by the
+/// protocol that builds the frame and read-only after that. Every copy of the
+/// frame (per-hop forwarding, retransmit queues, event captures) shares one
+/// refcounted block, as a kernel-forwarding node in M-VIA passes the sender's
+/// header on unchanged. A block holds a per-type tag and up to
+/// kCapacity bytes of one trivially copyable header type.
+class Header {
+ public:
+  /// ViaHeader, the largest header type, is exactly 96 bytes.
+  static constexpr std::size_t kCapacity = 96;
 
-/// One block class sized for the largest header (ViaHeader is exactly 96
-/// bytes); smaller headers waste a little slack rather than paying a second
-/// freelist. Header types static_assert they fit so a growing header turns
-/// the pool off loudly (at compile time) instead of silently.
-inline constexpr std::size_t kMetaBlockBytes = 96;
-
-/// Declares pooled allocation for a protocol header type. Member functions
-/// do not affect aggregate-ness, so designated initializers keep working.
-#define MESHMP_POOLED_META()                                    \
-  static void* operator new(std::size_t n) {                    \
-    return ::meshmp::net::meta_alloc(n);                        \
-  }                                                             \
-  static void operator delete(void* p, std::size_t n) noexcept { \
-    ::meshmp::net::meta_free(p, n);                             \
+  Header() = default;
+  template <typename H>
+  explicit Header(const H& h) : blk_(new Block(tag<H>())) {
+    static_assert(std::is_trivially_copyable_v<H>);
+    static_assert(sizeof(H) <= kCapacity && alignof(H) <= alignof(Block));
+    ::new (static_cast<void*>(blk_->bytes)) H(h);
   }
+  Header(const Header& o) noexcept : blk_(o.blk_) {
+    if (blk_ != nullptr) ++blk_->refs;
+  }
+  Header(Header&& o) noexcept : blk_(std::exchange(o.blk_, nullptr)) {}
+  Header& operator=(const Header& o) noexcept {
+    Header(o).swap(*this);
+    return *this;
+  }
+  Header& operator=(Header&& o) noexcept {
+    Header(std::move(o)).swap(*this);
+    return *this;
+  }
+  ~Header() {
+    if (blk_ != nullptr && --blk_->refs == 0) delete blk_;
+  }
+
+  /// The header if it holds an H, else null (empty, moved-from, or another
+  /// protocol's header type).
+  template <typename H>
+  [[nodiscard]] const H* get() const noexcept {
+    if (blk_ == nullptr || blk_->tag != tag<H>()) return nullptr;
+    return std::launder(reinterpret_cast<const H*>(blk_->bytes));
+  }
+
+ private:
+  // Plain-integer refcount: the engine is one sequential event loop, like
+  // buf::Slice's control block.
+  struct Block {
+    explicit Block(const void* t) : tag(t) {}
+    std::uint32_t refs = 1;
+    const void* tag;
+    alignas(8) std::byte bytes[kCapacity];
+  };
+
+  // One distinct address per header type, without RTTI.
+  template <typename H>
+  static const void* tag() noexcept {
+    static constexpr char kTag = 0;
+    return &kTag;
+  }
+
+  void swap(Header& o) noexcept { std::swap(blk_, o.blk_); }
+
+  Block* blk_ = nullptr;
+};
 
 /// Forwarding budget: enough for any minimal route on the paper's meshes
 /// plus detours around failed links, small enough to kill routing loops fast.
@@ -78,9 +121,9 @@ struct Frame {
   /// Actual data carried (null slice for pure control frames). Immutable:
   /// wire corruption must go through corrupt_payload_byte().
   buf::Slice payload;
-  /// Protocol-private header (e.g. via::FrameHeader). One heap allocation per
-  /// frame; only the owning protocol reads it.
-  std::any meta;
+  /// Protocol-private header, shared by every copy of this frame; only the
+  /// owning protocol reads it.
+  Header meta;
 
   /// Recomputes `checksum` from the payload (done by the NIC on transmit —
   /// the Intel Pro/1000MT offloads this, so it costs no host CPU). The
@@ -100,9 +143,9 @@ struct Frame {
 
 // Size pins: frames are moved through every pump and captured by value in
 // per-hop events, so growth here is a hot-path regression. 24-byte packed
-// header + 32-byte slice + 16-byte std::any.
+// header + 32-byte slice + 8-byte Header handle: one 64-byte cache line.
 static_assert(sizeof(buf::Slice) == 32);
-static_assert(sizeof(Frame) == 72);
+static_assert(sizeof(Frame) == 64);
 
 // The largest event capture on the hot path is [this + Frame] in the
 // link/NIC/crossbar pumps; it must fit the InlineFn budget so those events

@@ -205,8 +205,8 @@ class Registry {
 
   /// Live sources + retired totals + all histograms (BenchReport view).
   [[nodiscard]] Snapshot snapshot() const;
-  /// Live sources only, no retired totals (ClusterReport view: the counters
-  /// of the clusters currently alive, not of everything run so far).
+  /// Live sources only, no retired totals: the counters of the clusters
+  /// currently alive, not of everything run so far.
   [[nodiscard]] Snapshot snapshot_live() const;
 
   /// Forgets retired totals and zeroes every interned histogram. Live

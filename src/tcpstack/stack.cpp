@@ -67,7 +67,7 @@ net::Frame TcpStack::make_frame(net::NodeId dst, const TcpHeader& h,
   f.wire_bytes =
       static_cast<std::int64_t>(payload.size()) + params_.header_bytes;
   f.payload = std::move(payload);
-  f.meta = h;
+  f.meta = net::Header(h);
   return f;
 }
 
@@ -157,7 +157,7 @@ Task<> TcpStack::handle_rx(net::Frame frame, hw::IsrContext& ctx) {
     kernel_post(std::move(frame));
     co_return;
   }
-  const TcpHeader* h = std::any_cast<TcpHeader>(&frame.meta);
+  const TcpHeader* h = frame.meta.get<TcpHeader>();
   if (h == nullptr) {
     counters_.inc("rx_bad_frame");
     co_return;
@@ -225,7 +225,7 @@ Task<> TcpStack::rx_data(TcpSocket& s, const TcpHeader& h, net::Frame& f,
 void TcpStack::rx_ack(TcpSocket& s, const TcpHeader& h) {
   bool progress = false;
   while (!s.unacked_.empty()) {
-    const auto* fh = std::any_cast<TcpHeader>(&s.unacked_.front().meta);
+    const auto* fh = s.unacked_.front().meta.get<TcpHeader>();
     assert(fh != nullptr);
     if (fh->seq + s.unacked_.front().payload.size() <= h.ack) {
       s.unacked_.pop_front();

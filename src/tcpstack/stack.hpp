@@ -33,12 +33,7 @@ struct TcpHeader {
   std::uint64_t seq = 0;  ///< stream offset of the first payload byte
   std::uint64_t ack = 0;  ///< cumulative ack (next expected byte)
   std::uint16_t port = 0; ///< rendezvous port (kSyn)
-
-  // Carried per-frame inside Frame::meta — use the pooled meta freelist.
-  MESHMP_POOLED_META()
 };
-
-static_assert(sizeof(TcpHeader) <= net::kMetaBlockBytes);
 
 class TcpStack final : public hw::NicDriver {
  public:

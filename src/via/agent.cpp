@@ -179,7 +179,7 @@ net::Frame KernelAgent::make_frame(net::NodeId dst, const ViaHeader& h,
   // crash and retransmitted after is identifiable by its stale epoch.
   ViaHeader stamped = h;
   stamped.epoch = epoch_;
-  f.meta = stamped;
+  f.meta = net::Header(stamped);
   return f;
 }
 
@@ -373,7 +373,7 @@ Task<> KernelAgent::handle_rx(net::Frame frame, hw::IsrContext& ctx) {
     co_return;
   }
 
-  const ViaHeader* h = std::any_cast<ViaHeader>(&frame.meta);
+  const ViaHeader* h = frame.meta.get<ViaHeader>();
   if (h == nullptr) {
     counters_.inc("rx_bad_frame");
     co_return;
@@ -582,7 +582,7 @@ void KernelAgent::rx_ack(Vi& vi, const ViaHeader& h) {
   }
   bool progress = false;
   while (!vi.unacked_.empty()) {
-    const auto* fh = std::any_cast<ViaHeader>(&vi.unacked_.front().meta);
+    const auto* fh = vi.unacked_.front().meta.get<ViaHeader>();
     assert(fh != nullptr);
     if (fh->seq < h.ack_seq) {
       vi.unacked_.pop_front();

@@ -1,7 +1,8 @@
 #pragma once
 
-// The M-VIA frame header carried (as Frame::meta) by every frame the VIA
-// stack emits. Its modelled on-wire size is ViaParams::header_bytes.
+// The M-VIA frame header carried (in Frame::meta, a net::Header) by every
+// frame the VIA stack emits. Its modelled on-wire size is
+// ViaParams::header_bytes.
 
 #include <cstdint>
 
@@ -61,13 +62,6 @@ struct ViaHeader {
 
   // -- connection dialogue --
   std::uint32_t service = 0;  ///< listen/accept rendezvous tag
-
-  // Every frame carries one of these inside Frame::meta, so std::any's
-  // internal `new ViaHeader` is a per-frame (and per-frame-copy) heap
-  // allocation — route it through the pooled meta freelist.
-  MESHMP_POOLED_META()
 };
-
-static_assert(sizeof(ViaHeader) <= net::kMetaBlockBytes);
 
 }  // namespace meshmp::via

@@ -16,11 +16,11 @@
 #include "chk/determinism.hpp"
 #include "chk/digest.hpp"
 #include "cluster/gige_mesh.hpp"
-#include "cluster/report.hpp"
 #include "flt/fault.hpp"
 #include "hw/cpu.hpp"
 #include "mp/endpoint.hpp"
 #include "net/frame.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -231,7 +231,7 @@ TEST(BufAudit, LeakedSliceIsReportedAtQuiesce) {
 
 struct Outcome {
   std::vector<std::vector<std::byte>> got;
-  cluster::ClusterReport report;
+  obs::Snapshot metrics;
   int delivered = 0;
 };
 
@@ -287,7 +287,7 @@ chk::Fingerprint integrity_scenario(Outcome& out) {
   for (std::size_t i = 0; i < out.got.size() && i < sent.size(); ++i) {
     EXPECT_EQ(out.got[i], sent[i]) << "payload " << i << " corrupted";
   }
-  out.report = cluster::make_report(c);
+  out.metrics = obs::Registry::instance().snapshot_live();
 
   // Acceptance: nothing on the data path leaked pooled storage. The cluster
   // is still alive (rings, reassembly state all registered), so this audits
@@ -308,9 +308,9 @@ TEST(BufIntegrity, RandomPayloadsSurviveForwardingCorruptionAndFlap) {
   EXPECT_TRUE(r.identical) << r.divergence;
   // The chaos actually happened: frames were CRC-discarded and resent, and
   // the flap forced reroutes — yet every byte arrived intact.
-  EXPECT_GT(out.report.corrupt_discards, 0);
-  EXPECT_GT(out.report.retransmits, 0);
-  EXPECT_EQ(out.report.vi_failures, 0);
+  EXPECT_GT(out.metrics.counter("hw.nic.rx_checksum_drop"), 0);
+  EXPECT_GT(out.metrics.counter("via.vi.retransmits"), 0);
+  EXPECT_EQ(out.metrics.counter("via.agent.vi_failures"), 0);
 }
 
 }  // namespace

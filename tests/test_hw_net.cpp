@@ -1,12 +1,19 @@
-// Tests for frames/checksums, links, the crossbar, the CPU cost model and the
-// GigE NIC model (rings, DMA/wire pipelining, coalescing, checksum drops).
+// Tests for frames/checksums and shared frame headers, links, the crossbar,
+// the CPU cost model and the GigE NIC model (rings, DMA/wire pipelining,
+// coalescing, checksum drops), and how the VIA and TCP receive paths treat a
+// frame whose header they cannot read.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "buf/pool.hpp"
+#include "cluster/gige_mesh.hpp"
+#include "cluster/tcp_mesh.hpp"
 #include "hw/cpu.hpp"
 #include "hw/nic.hpp"
 #include "hw/node.hpp"
@@ -15,6 +22,8 @@
 #include "net/frame.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
+#include "tcpstack/stack.hpp"
+#include "via/header.hpp"
 
 namespace {
 
@@ -48,6 +57,53 @@ TEST(Frame, ChecksumDetectsBitFlip) {
   EXPECT_TRUE(f.checksum_ok());
   f.corrupt_payload_byte(3, std::byte{0x01});
   EXPECT_FALSE(f.checksum_ok());
+}
+
+// --- frame header -----------------------------------------------------------
+
+struct SeqHeader {
+  std::uint64_t seq = 0;
+  std::uint32_t tag = 0;
+};
+struct OtherHeader {
+  std::uint32_t x = 0;
+};
+
+TEST(FrameHeader, CopiesShareOneBlock) {
+  net::Header a(SeqHeader{42, 7});
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const net::Header b = a;
+  ASSERT_NE(a.get<SeqHeader>(), nullptr);
+  EXPECT_EQ(b.get<SeqHeader>(), a.get<SeqHeader>());  // same block
+  EXPECT_EQ(b.get<SeqHeader>()->seq, 42u);
+  EXPECT_EQ(b.get<SeqHeader>()->tag, 7u);
+
+  // Copying a frame (a forward, a retransmit queue entry) shares it too.
+  net::Frame f;
+  f.meta = a;
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const net::Frame g = f;
+  EXPECT_EQ(g.meta.get<SeqHeader>(), a.get<SeqHeader>());
+}
+
+TEST(FrameHeader, MovedFromReadsNull) {
+  net::Header a(SeqHeader{1, 2});
+  const SeqHeader* block = a.get<SeqHeader>();
+  net::Header b = std::move(a);
+  EXPECT_EQ(a.get<SeqHeader>(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.get<SeqHeader>(), block);
+  net::Header c;
+  c = std::move(b);
+  EXPECT_EQ(b.get<SeqHeader>(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.get<SeqHeader>(), block);
+}
+
+TEST(FrameHeader, OtherTypeAndEmptyReadNull) {
+  const net::Header empty;
+  EXPECT_EQ(empty.get<SeqHeader>(), nullptr);
+  const net::Header h(SeqHeader{});
+  EXPECT_EQ(h.get<OtherHeader>(), nullptr);
+  EXPECT_NE(h.get<SeqHeader>(), nullptr);
 }
 
 // --- link -------------------------------------------------------------------
@@ -398,6 +454,61 @@ TEST(NodeHw, SharedBusSerializesAdapterDma) {
       std::max(c0.frames.back().first, c1.frames.back().first));
   const double total_mbps = 2 * 50 * 1400 / 1e6 / secs;
   EXPECT_GT(total_mbps, 200.0);
+}
+
+// --- bad frames: a header the receiving protocol cannot read ---------------
+
+constexpr topo::Dir kMinusX{0, -1};  // node 1's adapter facing node 0
+
+/// A frame for node 1 carrying `meta`, as if it came off node 0's cable.
+net::Frame frame_to_node1(std::uint16_t proto, net::Header meta) {
+  net::Frame f;
+  f.src = 0;
+  f.dst = 1;
+  f.proto = proto;
+  f.wire_bytes = 64;
+  f.meta = std::move(meta);
+  f.stamp_checksum();
+  return f;
+}
+
+/// Feeds `f` into `nic`'s receive side, runs the engine dry, and returns
+/// every counter of the receiving protocol stack that moved, with its change.
+std::map<std::string, std::int64_t> inject(sim::Engine& eng, hw::Nic& nic,
+                                           const sim::Counters& stack,
+                                           net::Frame f) {
+  const sim::Counters before = stack;
+  nic.rx_entry()(std::move(f));
+  eng.run();
+  std::map<std::string, std::int64_t> moved;
+  for (const auto& [key, value] : stack.items()) {
+    if (value != before.get(key)) moved[key] = value - before.get(key);
+  }
+  return moved;
+}
+
+const std::map<std::string, std::int64_t> kOnlyBadFrame{{"rx_bad_frame", 1}};
+
+TEST(BadFrame, ViaAgentDropsEmptyOrForeignHeader) {
+  for (net::Header meta : {net::Header(), net::Header(tcpstack::TcpHeader{})}) {
+    cluster::GigeMeshConfig cfg;
+    cfg.shape = topo::Coord{4};
+    cluster::GigeMeshCluster c(cfg);
+    EXPECT_EQ(inject(c.engine(), c.nic(1, kMinusX),
+                     c.agent(1).counters(), frame_to_node1(0, meta)),
+              kOnlyBadFrame);
+  }
+}
+
+TEST(BadFrame, TcpStackDropsEmptyOrForeignHeader) {
+  for (net::Header meta : {net::Header(), net::Header(via::ViaHeader{})}) {
+    cluster::TcpMeshConfig cfg;
+    cfg.shape = topo::Coord{4};
+    cluster::TcpMeshCluster c(cfg);
+    EXPECT_EQ(inject(c.engine(), c.nic(1, kMinusX),
+                     c.stack(1).counters(), frame_to_node1(1, meta)),
+              kOnlyBadFrame);
+  }
 }
 
 }  // namespace

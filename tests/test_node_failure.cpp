@@ -17,7 +17,6 @@
 #include "cluster/gige_mesh.hpp"
 #include "cluster/lifecycle.hpp"
 #include "cluster/membership.hpp"
-#include "cluster/report.hpp"
 #include "coll/scatter.hpp"
 #include "flt/fault.hpp"
 #include "mp/endpoint.hpp"
@@ -284,7 +283,7 @@ Task<> pair_receiver(mp::Endpoint& ep, int src, int tag, int n,
   }
 }
 
-Fingerprint overlap_scenario(cluster::ClusterReport& report_out) {
+Fingerprint overlap_scenario(obs::Snapshot& report_out) {
   GigeMeshConfig cfg;
   cfg.shape = topo::Coord{4, 4};
   cfg.via.retx_timeout = 1_ms;  // retransmit inside the fault windows
@@ -316,19 +315,20 @@ Fingerprint overlap_scenario(cluster::ClusterReport& report_out) {
   EXPECT_EQ(fwd.ok_sends, kN);
   EXPECT_EQ(bwd.ok_sends, kN);
   EXPECT_EQ(inj.counters().get("stalls"), 1);
-  report_out = cluster::make_report(c);
+  report_out = obs::Registry::instance().snapshot_live();
   std::uint64_t h = mix(fwd.hash, bwd.hash);
   return {c.engine().executed(), c.engine().digest(), c.engine().now(), h};
 }
 
 TEST(FltOverlap, StallLossAndFlapOnOnePortByteIdentical) {
-  cluster::ClusterReport report;
+  obs::Snapshot report;
   auto r = chk::run_twice_and_compare(
       [&report] { return overlap_scenario(report); });
   EXPECT_TRUE(r.identical) << r.divergence;
   EXPECT_NE(r.first.result_hash, 0u);
-  EXPECT_GT(report.retransmits, 0);  // the windows actually bit
-  EXPECT_EQ(report.vi_failures, 0);  // and recovery stayed in budget
+  // The windows actually bit, and recovery stayed in budget.
+  EXPECT_GT(report.counter("via.vi.retransmits"), 0);
+  EXPECT_EQ(report.counter("via.agent.vi_failures"), 0);
 }
 
 // --- crash / detect / degrade / rejoin acceptance campaign on 4x8x8 ---------
@@ -371,7 +371,7 @@ Task<> probe_dead(mp::Endpoint& ep, CampaignOutcome& out) {
   out.probe_done = true;
 }
 
-Fingerprint campaign_scenario(cluster::ClusterReport& report_out) {
+Fingerprint campaign_scenario(obs::Snapshot& report_out) {
   GigeMeshConfig cfg;  // default 4x8x8 torus, 256 nodes
   cfg.via.retx_timeout = 1_ms;
   GigeMeshCluster c(cfg);
@@ -421,7 +421,7 @@ Fingerprint campaign_scenario(cluster::ClusterReport& report_out) {
 
   life.stop();
   c.run();
-  report_out = cluster::make_report(c);
+  report_out = obs::Registry::instance().snapshot_live();
 
   std::uint64_t h = out.traffic.hash;
   h = mix(h, static_cast<std::uint64_t>(out.traffic.delivered));
@@ -431,17 +431,17 @@ Fingerprint campaign_scenario(cluster::ClusterReport& report_out) {
 }
 
 TEST(FltNodeCrash, DetectDegradeRejoinConvergesByteIdentical) {
-  cluster::ClusterReport report;
+  obs::Snapshot report;
   auto r = chk::run_twice_and_compare(
       [&report] { return campaign_scenario(report); });
   EXPECT_TRUE(r.identical) << r.divergence;
   EXPECT_NE(r.first.result_hash, 0u);
-  EXPECT_EQ(report.node_crashes, 1);
-  EXPECT_EQ(report.node_restarts, 1);
+  EXPECT_EQ(report.counter("via.agent.node_crashes"), 1);
+  EXPECT_EQ(report.counter("via.agent.node_restarts"), 1);
   // Degraded-mode tables actually carried traffic around the dead coordinate.
-  EXPECT_GT(report.table_routed_frames, 0);
+  EXPECT_GT(report.counter("via.agent.table_routed_frames"), 0);
   // Recovery latencies landed in the observability histograms (and therefore
-  // in ClusterReport.metrics).
+  // in every obs::Registry snapshot).
   auto& reg = obs::Registry::instance();
   EXPECT_GT(reg.histogram("cluster.detection_latency_ns").count(), 0u);
   EXPECT_GT(reg.histogram("cluster.rejoin_latency_ns").count(), 0u);

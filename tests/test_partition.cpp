@@ -21,7 +21,6 @@
 #include "cluster/gige_mesh.hpp"
 #include "cluster/lifecycle.hpp"
 #include "cluster/membership.hpp"
-#include "cluster/report.hpp"
 #include "coll/reduce_op.hpp"
 #include "coll/tree.hpp"
 #include "flt/fault.hpp"
@@ -420,7 +419,7 @@ bool is_minority_rank(const topo::Torus& t, topo::Rank r) {
   return t.coord(r)[0] >= 2;
 }
 
-Fingerprint partition_campaign(cluster::ClusterReport& report_out,
+Fingerprint partition_campaign(obs::Snapshot& report_out,
                                CampaignCounters& ctr_out) {
   GigeMeshConfig cfg;  // default 4x8x8 torus, 256 nodes
   cfg.via.retx_timeout = 1_ms;
@@ -593,7 +592,7 @@ Fingerprint partition_campaign(cluster::ClusterReport& report_out,
 
   life.stop();
   c.run();
-  report_out = cluster::make_report(c);
+  report_out = obs::Registry::instance().snapshot_live();
 
   // No payload buffer may be stranded by the flush/retract/rejoin sequence.
   {
@@ -616,7 +615,7 @@ Fingerprint partition_campaign(cluster::ClusterReport& report_out,
 }
 
 TEST(FltPartition, SplitBrainHealReconcileByteIdentical) {
-  cluster::ClusterReport report;
+  obs::Snapshot report;
   CampaignCounters ctr;
   auto r = chk::run_twice_and_compare(
       [&report, &ctr] { return partition_campaign(report, ctr); });
@@ -634,10 +633,10 @@ TEST(FltPartition, SplitBrainHealReconcileByteIdentical) {
   EXPECT_EQ(ctr.carrier_heal_events, 256);
   EXPECT_GT(ctr.view_pushes, 0);
 
-  // Partition work surfaced in the cluster report scalars.
-  EXPECT_EQ(report.partition_flushes, 128);
-  EXPECT_GT(report.minority_refusals, 0);
-  EXPECT_EQ(report.node_crashes, 0);  // nobody actually died
+  // Partition work surfaced in the kernel agents' registry counters.
+  EXPECT_EQ(report.counter("via.agent.partition_flushes"), 128);
+  EXPECT_GT(report.counter("via.agent.conn_minority_refused"), 0);
+  EXPECT_EQ(report.counter("via.agent.node_crashes"), 0);  // nobody died
 
   // Duration and heal-convergence distributions landed in the registry.
   auto& reg = obs::Registry::instance();

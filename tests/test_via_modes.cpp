@@ -1,12 +1,13 @@
 // Additional VIA coverage: unreliable-delivery mode, the kernel qdisc (the
-// never-drop software transmit queue), ack cadence, and the cluster report.
+// never-drop software transmit queue), ack cadence, and the cluster-wide
+// counter sums.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cluster/gige_mesh.hpp"
-#include "cluster/report.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "via/agent.hpp"
 #include "via/vi.hpp"
@@ -161,7 +162,7 @@ TEST(ViaAcks, CumulativeAckCadenceFollowsAckEvery) {
   EXPECT_LE(acks_rxd, 13);
 }
 
-TEST(ClusterReport, AggregatesCounters) {
+TEST(ClusterMetrics, RegistrySumsCounters) {
   GigeMeshConfig cfg;
   cfg.shape = topo::Coord{4};
   GigeMeshCluster c(cfg);
@@ -177,14 +178,14 @@ TEST(ClusterReport, AggregatesCounters) {
   sender(*conn.a).detach();
   c.engine().run();
   ASSERT_TRUE(done);
-  const auto report = cluster::make_report(c);
-  EXPECT_GT(report.sim_seconds, 0);
-  EXPECT_GT(report.tx_frames, 0);
-  EXPECT_EQ(report.tx_frames, report.rx_frames);  // lossless run
-  EXPECT_GT(report.forwarded_frames, 0);
-  EXPECT_GT(report.interrupts, 0);
-  EXPECT_EQ(report.checksum_drops, 0);
-  EXPECT_FALSE(report.str().empty());
+  const auto m = obs::Registry::instance().snapshot_live();
+  EXPECT_GT(c.engine().now(), 0);
+  EXPECT_GT(m.counter("hw.nic.tx_frames"), 0);
+  EXPECT_EQ(m.counter("hw.nic.tx_frames"),
+            m.counter("hw.nic.rx_frames"));  // lossless run
+  EXPECT_GT(m.counter("via.agent.fwd_frames"), 0);
+  EXPECT_GT(m.counter("hw.nic.interrupts"), 0);
+  EXPECT_EQ(m.counter("hw.nic.rx_checksum_drop"), 0);
 }
 
 }  // namespace
