@@ -345,7 +345,7 @@ std::vector<std::byte> Pool::obtain(std::size_t bytes) {
 void Pool::recycle(std::vector<std::byte> v) noexcept {
   if (v.capacity() == 0) return;
   std::size_t k = class_for_capacity(v.capacity());
-  if (k < kClasses && free_[k].size() < kMaxFreePerClass) {
+  if (k < kClasses && free_[k].size() < max_free(k)) {
     free_[k].push_back(std::move(v));
   }
 }

@@ -22,13 +22,19 @@
 //
 // Storage vectors are recycled through per-capacity-class free lists
 // (class k holds capacities in [2^k, 2^(k+1))), so steady-state traffic
-// performs no heap allocation for payload bytes. The pool is process-wide
+// performs no heap allocation for payload bytes. Retention is bounded in
+// bytes as well as entries: class k keeps at most
+// min(64, kFreeBytesPerClass >> k) idle vectors — 64 for capacities up to
+// 128 KiB (frame, eager and collective storage), 8 at 1 MiB, none from
+// 16 MiB — so large message storage goes back to the allocator instead of
+// idling in the pool. The pool is process-wide
 // shared state, so the free lists, the outstanding count and the stats are
 // annotated as guarded by pool_mu_ (a zero-cost chk::SimLock).
 //
 // A chk::Audit validator ("buf.pool") reports any Buffer or Slice not
 // returned at quiesce, catching leaked references in protocol state.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -207,6 +213,11 @@ class Pool {
   // capacity is in [2^k, 2^(k+1)), so any entry satisfies requests <= 2^k.
   static constexpr std::size_t kClasses = 48;
   static constexpr std::size_t kMaxFreePerClass = 64;
+  static constexpr std::size_t kFreeBytesPerClass = std::size_t{8} << 20;
+  /// Idle vectors class k retains: 64, and at most 8 MiB of class floors.
+  static constexpr std::size_t max_free(std::size_t k) noexcept {
+    return std::min(kMaxFreePerClass, kFreeBytesPerClass >> k);
+  }
   std::array<std::vector<std::vector<std::byte>>, kClasses> free_
       MESHMP_GUARDED_BY(pool_mu_){};
   std::size_t outstanding_ MESHMP_GUARDED_BY(pool_mu_) = 0;

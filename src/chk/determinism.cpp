@@ -27,7 +27,11 @@ ReplayResult run_twice_and_compare(
     if (r.first.result_hash != r.second.result_hash) {
       r.divergence += "result_hash ";
     }
-    r.divergence += "(" + describe(r.first) + " vs " + describe(r.second) + ")";
+    r.divergence.append("(")
+        .append(describe(r.first))
+        .append(" vs ")
+        .append(describe(r.second))
+        .append(")");
   }
   return r;
 }

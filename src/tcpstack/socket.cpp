@@ -24,7 +24,8 @@ sim::Task<> TcpSocket::send(std::vector<std::byte> data) {
   co_await stack_.stream_out(*this, std::move(data));
 }
 
-sim::Task<std::vector<std::byte>> TcpSocket::recv(std::int64_t max_bytes) {
+sim::Task<> TcpSocket::read_some(std::int64_t max_bytes,
+                                 std::vector<std::byte>& out) {
   auto& cpu = stack_.node().cpu();
   MESHMP_TRACE_TRACK(trk_, stack_.node_id(), "sock" + std::to_string(id_));
   // Covers the blocked interval while the stream is empty plus the
@@ -32,24 +33,34 @@ sim::Task<std::vector<std::byte>> TcpSocket::recv(std::int64_t max_bytes) {
   MESHMP_TRACE_SCOPE(cpu.engine(), obs::Cat::kTcp, stack_.node_id(), trk_,
                      "tcp.recv_wait");
   co_await cpu.busy(cpu.host().syscall, hw::Cpu::kUser);
-  while (sockbuf_head_ == sockbuf_.size()) {
+  while (rx_bytes_ == 0) {
     co_await rx_ready_.next();
   }
-  const auto avail =
-      static_cast<std::int64_t>(sockbuf_.size() - sockbuf_head_);
-  const auto take = std::min(max_bytes, avail);
+  const auto take =
+      std::min(max_bytes, static_cast<std::int64_t>(rx_bytes_));
   // The second copy of the TCP path: kernel socket buffer -> user buffer.
   const bool hot = take <= cpu.host().cache_bytes;
   co_await buf::charge_copy(cpu, take, hot);
-  std::vector<std::byte> out(
-      sockbuf_.begin() + static_cast<std::ptrdiff_t>(sockbuf_head_),
-      sockbuf_.begin() + static_cast<std::ptrdiff_t>(sockbuf_head_ + take));
-  sockbuf_head_ += static_cast<std::size_t>(take);
-  if (sockbuf_head_ > (1u << 20) && sockbuf_head_ * 2 > sockbuf_.size()) {
-    sockbuf_.erase(sockbuf_.begin(),
-                   sockbuf_.begin() + static_cast<std::ptrdiff_t>(sockbuf_head_));
-    sockbuf_head_ = 0;
+  const auto bytes = static_cast<std::size_t>(take);
+  out.reserve(out.size() + bytes);
+  rx_bytes_ -= bytes;
+  for (std::size_t left = bytes; left > 0;) {
+    const buf::Slice& front = rx_queue_.front();
+    const std::size_t n = std::min(left, front.size() - rx_front_off_);
+    const std::byte* from = front.data() + rx_front_off_;
+    out.insert(out.end(), from, from + n);
+    left -= n;
+    rx_front_off_ += n;
+    if (rx_front_off_ == front.size()) {
+      rx_queue_.pop_front();
+      rx_front_off_ = 0;
+    }
   }
+}
+
+sim::Task<std::vector<std::byte>> TcpSocket::recv(std::int64_t max_bytes) {
+  std::vector<std::byte> out;
+  co_await read_some(max_bytes, out);
   co_return out;
 }
 
@@ -57,8 +68,7 @@ sim::Task<std::vector<std::byte>> TcpSocket::recv_exact(std::int64_t n) {
   std::vector<std::byte> out;
   out.reserve(static_cast<std::size_t>(n));
   while (static_cast<std::int64_t>(out.size()) < n) {
-    auto chunk = co_await recv(n - static_cast<std::int64_t>(out.size()));
-    out.insert(out.end(), chunk.begin(), chunk.end());
+    co_await read_some(n - static_cast<std::int64_t>(out.size()), out);
   }
   co_return out;
 }

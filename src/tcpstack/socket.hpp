@@ -7,11 +7,21 @@
 // per-segment by the protocol machine; every receive pays the interrupt +
 // protocol + software checksum path, then a second copy kernel->user at the
 // recv() syscall.
+//
+// The socket buffer holds the in-order segment payloads themselves: a FIFO
+// of buf::Slice views aliasing the storage the frames arrived in, with a
+// read offset into the front slice. recv() gathers straight from those
+// slices into the caller's vector, so the one host copy of each received
+// byte is the modeled kernel->user copy, and a slice goes back to the pool
+// as soon as it has been read in full. Unread data therefore holds pooled
+// storage: a socket with bytes still queued counts as outstanding in the
+// "buf.pool" quiesce audit.
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
+#include "buf/pool.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "sim/stats.hpp"
@@ -52,6 +62,10 @@ class TcpSocket {
  private:
   friend class TcpStack;
 
+  /// One recv() syscall: waits until data is queued, charges the
+  /// kernel->user copy of up to `max_bytes` and appends them to `out`.
+  sim::Task<> read_some(std::int64_t max_bytes, std::vector<std::byte>& out);
+
   TcpStack& stack_;
   std::uint32_t id_;
 
@@ -75,8 +89,9 @@ class TcpSocket {
   std::uint64_t expected_rx_seq_ = 0;
   int segs_since_ack_ = 0;
   bool ack_timer_running_ = false;
-  std::vector<std::byte> sockbuf_;
-  std::size_t sockbuf_head_ = 0;
+  std::deque<buf::Slice> rx_queue_;  ///< in-order payloads not yet read
+  std::size_t rx_front_off_ = 0;     ///< bytes of rx_queue_.front() read
+  std::size_t rx_bytes_ = 0;         ///< unread bytes across rx_queue_
   sim::Signal rx_ready_;
 
   sim::Counters counters_;

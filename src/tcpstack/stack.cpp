@@ -1,7 +1,6 @@
 #include "tcpstack/stack.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -206,10 +205,14 @@ Task<> TcpStack::rx_data(TcpSocket& s, const TcpHeader& h, net::Frame& f,
     send_ack(s);  // dup-ack so the peer's go-back-N converges
     co_return;
   }
-  s.expected_rx_seq_ += static_cast<std::uint64_t>(f.payload.size());
-  rx_seg_bytes_hist_.add(static_cast<std::int64_t>(f.payload.size()));
-  const bool was_empty = s.sockbuf_head_ == s.sockbuf_.size();
-  s.sockbuf_.insert(s.sockbuf_.end(), f.payload.begin(), f.payload.end());
+  const std::size_t len = f.payload.size();
+  s.expected_rx_seq_ += static_cast<std::uint64_t>(len);
+  rx_seg_bytes_hist_.add(static_cast<std::int64_t>(len));
+  const bool was_empty = s.rx_bytes_ == 0;
+  // The socket buffer queues the payload view itself; recv() does the one
+  // host copy, matching the modeled kernel->user copy it charges.
+  s.rx_bytes_ += len;
+  s.rx_queue_.push_back(std::move(f.payload));
   if (was_empty) {
     co_await ctx.spend(hp.wakeup);
     s.rx_ready_.notify_all();

@@ -138,6 +138,32 @@ TEST(BufPool, FreeListRecyclesStorage) {
   EXPECT_GT(pool.stats().pool_hits, hits);
 }
 
+/// Pool hits when `count` buffers of `bytes` go back to the pool and as many
+/// are requested again. Whatever idle storage could serve such a request is
+/// taken out (and held) first, so only the returned buffers can be hits.
+std::uint64_t hits_after_round_trip(std::size_t bytes, std::size_t count) {
+  auto& pool = buf::Pool::instance();
+  std::vector<buf::Buffer> drained;
+  const auto misses = pool.stats().pool_misses;
+  while (pool.stats().pool_misses == misses) drained.push_back(pool.get(bytes));
+  {
+    std::vector<buf::Buffer> first;
+    for (std::size_t i = 0; i < count; ++i) first.push_back(pool.get(bytes));
+  }
+  const auto hits = pool.stats().pool_hits;
+  std::vector<buf::Buffer> second;
+  for (std::size_t i = 0; i < count; ++i) second.push_back(pool.get(bytes));
+  return pool.stats().pool_hits - hits;
+}
+
+// Idle storage is bounded in bytes per capacity class: 1 MiB vectors keep
+// 8 (8 MiB), while classes up to 128 KiB keep the full 64 entries.
+TEST(BufPool, IdleStorageIsBoundedInBytesPerClass) {
+  EXPECT_EQ(hits_after_round_trip(std::size_t{1} << 20, 64), 8u);
+  EXPECT_EQ(hits_after_round_trip(std::size_t{1} << 17, 64), 64u);
+  EXPECT_EQ(hits_after_round_trip(4096, 64), 64u);
+}
+
 // --- frame integration -------------------------------------------------------
 
 TEST(BufFrame, ForwardedFrameReverifiesInConstantState) {

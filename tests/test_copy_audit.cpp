@@ -19,6 +19,7 @@
 #include "common.hpp"
 #include "mp/endpoint.hpp"
 #include "mp/wire.hpp"
+#include "tcpstack/params.hpp"
 
 namespace {
 
@@ -126,6 +127,46 @@ TEST(CopyAudit, Fig3StyleViaStreamChargesIsrGatherOnly) {
   const auto st = buf::copy_stats();
   EXPECT_EQ(st.copies, kCount * nfrags(kSize));
   EXPECT_EQ(st.bytes, kCount * static_cast<std::uint64_t>(kSize));
+}
+
+// The TCP baseline models two payload copies per byte: user -> skb once per
+// MSS segment in the sender's stream_out, and socket buffer -> user once per
+// recv() call, which recv_exact repeats until it has the whole message. How
+// many recv() calls that takes depends on how segments arrive relative to the
+// reader, so the copy count is pinned as the model produces it: any change
+// to the charge sequence on either side shows up here.
+TEST(CopyAudit, TcpStreamChargesSegmentCopiesAndSocketDrains) {
+  benchutil::TcpPair p;
+  auto transfer = [&p](std::size_t size) {
+    auto receiver = [](tcpstack::TcpSocket& s, std::int64_t n) -> Task<> {
+      (void)co_await s.recv_exact(n);
+    };
+    auto sender = [](tcpstack::TcpSocket& s,
+                     std::vector<std::byte> d) -> Task<> {
+      co_await s.send(std::move(d));
+    };
+    receiver(*p.b, static_cast<std::int64_t>(size)).detach();
+    sender(*p.a, pattern(size)).detach();
+    p.cluster.run();
+  };
+  transfer(64);  // warm, outside the measurement
+
+  const auto mss = static_cast<std::uint64_t>(tcpstack::TcpParams{}.mss);
+  struct Pin {
+    std::size_t size;
+    std::uint64_t copies;
+  };
+  // 1000 B: one segment, one recv. 100 kB fits the 256 KiB send window;
+  // 400 kB blocks on it.
+  for (const Pin& pin : {Pin{1000, 2}, Pin{100'000, 94}, Pin{400'000, 369}}) {
+    buf::reset_copy_stats();
+    transfer(pin.size);
+    const auto st = buf::copy_stats();
+    const std::uint64_t segs = (pin.size + mss - 1) / mss;
+    EXPECT_EQ(st.bytes, 2 * pin.size) << "size=" << pin.size;
+    EXPECT_EQ(st.copies, pin.copies) << "size=" << pin.size
+                                     << " segments=" << segs;
+  }
 }
 
 // Fig5-style collective on a small torus: the charged-copy count of a

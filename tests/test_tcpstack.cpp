@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
+#include "buf/pool.hpp"
 #include "cluster/gige_mesh.hpp"
 #include "cluster/tcp_mesh.hpp"
 #include "sim/engine.hpp"
@@ -135,6 +137,64 @@ TEST(TcpStream, MultipleSendsCoalesceIntoStream) {
                            got.begin() + i * 500))
         << "chunk " << i;
   }
+}
+
+// The socket buffer is the queue of received segment payloads. recv(max)
+// gathers straight out of it: reads of 1, 7, mss-1 and mss+1 bytes start and
+// end inside segments, leaving the front payload partly read between calls,
+// and the last read asks for more than is queued and gets the rest. Each
+// segment travels in its own storage block, so the pool's outstanding count
+// is exactly the number of payloads the queue still pins: a payload must go
+// back as soon as its last byte is read.
+TEST(TcpStream, RecvGathersAcrossSegmentsAndUnpinsReadPayloads) {
+  TcpMeshCluster c(ring4());
+  Pair p = connect_pair(c, 0, 1);
+  auto& pool = buf::Pool::instance();
+  const std::size_t base = pool.outstanding();
+  const auto mss = static_cast<std::size_t>(c.stack(0).params().mss);
+
+  const std::vector<std::byte> data = pattern(5 * mss + 123, 5);
+  auto sender = [](TcpSocket& s, const std::vector<std::byte>& d,
+                   std::size_t seg) -> Task<> {
+    for (std::size_t off = 0; off < d.size(); off += seg) {
+      const auto first = d.begin() + static_cast<std::ptrdiff_t>(off);
+      const auto len = static_cast<std::ptrdiff_t>(
+          std::min(seg, d.size() - off));
+      co_await s.send(std::vector<std::byte>(first, first + len));
+    }
+  };
+  sender(*p.a, data, mss).detach();
+  c.engine().run();
+  // Everything is delivered and acked: only the receive queue holds storage.
+  ASSERT_EQ(pool.outstanding(), base + 6);
+
+  auto reader = [](TcpSocket& s, std::int64_t max,
+                   std::vector<std::byte>& out) -> Task<> {
+    out = co_await s.recv(max);
+  };
+  struct Step {
+    std::size_t ask;
+    std::size_t got;
+    std::size_t pinned;  ///< payloads still queued afterwards
+  };
+  const Step steps[] = {
+      {1, 1, 6},
+      {7, 7, 6},
+      {mss - 1, mss - 1, 5},  // ends 7 bytes into the second payload
+      {mss + 1, mss + 1, 4},  // ends 8 bytes into the third
+      {10 * mss, 3 * mss + 115, 0},
+  };
+  std::vector<std::byte> got;
+  for (const Step& st : steps) {
+    std::vector<std::byte> chunk;
+    reader(*p.b, static_cast<std::int64_t>(st.ask), chunk).detach();
+    c.engine().run();
+    EXPECT_EQ(chunk.size(), st.got) << "ask=" << st.ask;
+    EXPECT_EQ(pool.outstanding(), base + st.pinned) << "ask=" << st.ask;
+    got.insert(got.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(pool.outstanding(), base);
 }
 
 TEST(TcpStream, RecoversFromLoss) {
