@@ -164,16 +164,18 @@ sim::Task<> ClusterLifecycle::heartbeat_loop(topo::Rank r, std::uint64_t gen) {
     via::KernelAgent& ag = cluster_.agent(r);
     if (!ag.powered()) co_return;
     const sim::Time now = eng.now();
-    for (topo::Dir d : t.directions(t.coord(r))) {
-      const auto n = t.neighbor(r, d);
-      if (!n) continue;
+    const auto row = t.neighbors(r);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const topo::Rank n = row[i];
+      if (n < 0) continue;
+      const auto d = topo::Dir::from_index(static_cast<int>(i));
       // No point probing a confirmed corpse; rejoin news revives the probe.
-      if (views_[idx(r)].at(*n).state == Liveness::kDead) continue;
+      if (views_[idx(r)].at(n).state == Liveness::kDead) continue;
       if ((ag.failed_dirs() & topo::dir_bit(d)) != 0) {
         // Carrier is down this way but the neighbour is not condemned (the
         // link-flap detour case): keep its silence clock fed over whatever
         // route still reaches it. msg_id 0 marks a non-probe — no ack.
-        ag.send_control(*n, via::MsgKind::kHeartbeat, {});
+        ag.send_control(n, via::MsgKind::kHeartbeat, {});
         continue;
       }
       // Pinned probe: it must exercise the exact cable it monitors even when
@@ -209,10 +211,12 @@ sim::Task<> ClusterLifecycle::monitor_loop(topo::Rank r, std::uint64_t gen) {
     const bool flood_storm =
         ctl.last_member_news >= 0 &&
         now - ctl.last_member_news <= params_.heartbeat_period;
-    for (topo::Dir d : t.directions(t.coord(r))) {
-      const auto n = t.neighbor(r, d);
-      if (!n) continue;
-      DirHealth& dh = ctl.dirs[static_cast<std::size_t>(d.index())];
+    const auto row = t.neighbors(r);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const topo::Rank n = row[i];
+      if (n < 0) continue;
+      const auto d = topo::Dir::from_index(static_cast<int>(i));
+      DirHealth& dh = ctl.dirs[i];
       // Overdue-probe sampling: a probe sent at least two full ticks ago and
       // still unacked is a loss observation. Only the newest such probe is
       // sampled per tick — the EWMA wants a loss *rate*, not a backlog
@@ -228,23 +232,23 @@ sim::Task<> ClusterLifecycle::monitor_loop(topo::Rank r, std::uint64_t gen) {
       }
       dh.seq_two_ticks_ago = dh.seq_at_last_tick;
       dh.seq_at_last_tick = dh.probe_seq;
-      const Liveness st = views_[idx(r)].at(*n).state;
+      const Liveness st = views_[idx(r)].at(n).state;
       if (st == Liveness::kDead || st == Liveness::kRejoining) continue;
-      const sim::Duration silent = now - ctl.last_heard[idx(*n)];
+      const sim::Duration silent = now - ctl.last_heard[idx(n)];
       const double phi = phi_level(ctl, d.index(), silent);
       if (phi >= params_.phi_dead) {
         {
           chk::SimLockGuard g(shared_mu_);
           phi_counters_.inc("dead_declared");
         }
-        declare(r, *n, Liveness::kDead);
+        declare(r, n, Liveness::kDead);
       } else if (phi >= params_.phi_suspect && st == Liveness::kAlive) {
         phi_suspect_hist_.add(static_cast<sim::Duration>(phi * 1000));
         {
           chk::SimLockGuard g(shared_mu_);
           phi_counters_.inc("suspects");
         }
-        declare(r, *n, Liveness::kSuspect);
+        declare(r, n, Liveness::kSuspect);
       }
     }
     // Hysteresis re-score; on any mask flip, retarget local egress and flood
@@ -282,11 +286,9 @@ sim::Task<> ClusterLifecycle::monitor_loop(topo::Rank r, std::uint64_t gen) {
         const std::vector<LinkRecord> chunk(
             batch.begin() + static_cast<std::ptrdiff_t>(off),
             batch.begin() + static_cast<std::ptrdiff_t>(off + cnt));
-        for (topo::Dir d : t.directions(t.coord(r))) {
-          const auto n = t.neighbor(r, d);
-          if (!n) continue;
-          if (views_[idx(r)].at(*n).state == Liveness::kDead) continue;
-          ag.send_control(*n, via::MsgKind::kLinkState,
+        for (const topo::Rank n : t.neighbors(r)) {
+          if (n < 0 || views_[idx(r)].at(n).state == Liveness::kDead) continue;
+          ag.send_control(n, via::MsgKind::kLinkState,
                           buf::Pool::instance().adopt(encode_links(chunk)));
         }
       }
@@ -327,10 +329,9 @@ double ClusterLifecycle::phi(topo::Rank r, topo::Dir d) const {
 
 std::optional<topo::Dir> ClusterLifecycle::dir_toward(topo::Rank from,
                                                       topo::Rank to) const {
-  const topo::Torus& t = cluster_.torus();
-  for (topo::Dir d : t.directions(t.coord(from))) {
-    const auto n = t.neighbor(from, d);
-    if (n && *n == to) return d;
+  const auto row = cluster_.torus().neighbors(from);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (row[i] == to) return topo::Dir::from_index(static_cast<int>(i));
   }
   return std::nullopt;
 }
@@ -362,15 +363,13 @@ sim::Task<> ClusterLifecycle::rejoin(topo::Rank r, std::uint64_t gen) {
   // routing around this coordinate as the connection traffic lands.
   process_record(
       r, MemberRecord{r, MemberState{Liveness::kRejoining, ag.epoch(), 1}});
-  for (topo::Dir d : t.directions(t.coord(r))) {
+  for (const topo::Rank n : t.neighbors(r)) {
     if (stopped_ || gen != ctl_[idx(r)].gen) co_return;
-    const auto n = t.neighbor(r, d);
-    if (!n) continue;
-    if (views_[idx(r)].at(*n).state == Liveness::kDead) continue;
+    if (n < 0 || views_[idx(r)].at(n).state == Liveness::kDead) continue;
     // Fresh-epoch ConnReq/ConnAck with each live neighbour; the hello is the
     // first message of the new sequence space (seq restarts from zero), so a
     // completed handshake doubles as a sequence-resync proof.
-    via::Vi* vi = co_await ag.connect(*n, kService);
+    via::Vi* vi = co_await ag.connect(n, kService);
     if (vi == nullptr || vi->failed()) continue;
     std::vector<std::byte> hello(8, std::byte{0x5a});
     co_await vi->send(std::move(hello), /*immediate=*/ag.epoch());
@@ -535,11 +534,9 @@ void ClusterLifecycle::process_record(topo::Rank observer,
   // Re-flood news to every live neighbour; apply-is-news gating above is
   // what terminates the flood.
   const topo::Torus& t = cluster_.torus();
-  for (topo::Dir d : t.directions(t.coord(observer))) {
-    const auto n = t.neighbor(observer, d);
-    if (!n) continue;
-    if (views_[idx(observer)].at(*n).state == Liveness::kDead) continue;
-    ag.send_control(*n, via::MsgKind::kMembership,
+  for (const topo::Rank n : t.neighbors(observer)) {
+    if (n < 0 || views_[idx(observer)].at(n).state == Liveness::kDead) continue;
+    ag.send_control(n, via::MsgKind::kMembership,
                     buf::Pool::instance().adopt(MembershipView::encode({rec})));
   }
 
@@ -572,16 +569,13 @@ void ClusterLifecycle::refresh_routes(topo::Rank observer) {
     ag.clear_route_table();
   } else if (any_deg) {
     // Quality-aware table: among minimal paths, dodge links whose owners
-    // flooded them as degraded/black. Keyed into the shared cache by the
-    // full (dead set, degraded-mask map) identity.
+    // flooded them as degraded/black.
     ag.set_route_table(
-        route_cache_.get(cluster_.torus(), observer, dead, degraded));
+        cluster_.torus().route_table_avoiding(observer, dead, degraded));
     chk::SimLockGuard g(shared_mu_);
     score_counters_.inc("quality_route_refreshes");
   } else {
-    // Shared cache: during partition/heal storms many nodes pass through
-    // identical dead sets, and BFS route tables are the hot part.
-    ag.set_route_table(route_cache_.get(cluster_.torus(), observer, dead));
+    ag.set_route_table(cluster_.torus().route_table_avoiding(observer, dead));
   }
 }
 
@@ -656,12 +650,9 @@ void ClusterLifecycle::on_reconcile(topo::Rank r, std::uint64_t gen) {
   // Re-flood so the wave reaches minority nodes with no healed link of
   // their own. Runs after partition_rejoin: a reconciled node's route
   // table no longer drops frames toward cross-boundary neighbours.
-  const topo::Torus& t = cluster_.torus();
-  for (topo::Dir dd : t.directions(t.coord(r))) {
-    const auto nb = t.neighbor(r, dd);
-    if (!nb) continue;
-    if (views_[idx(r)].at(*nb).state == Liveness::kDead) continue;
-    ag.send_control(*nb, via::MsgKind::kReconcile, {}, gen);
+  for (const topo::Rank nb : cluster_.torus().neighbors(r)) {
+    if (nb < 0 || views_[idx(r)].at(nb).state == Liveness::kDead) continue;
+    ag.send_control(nb, via::MsgKind::kReconcile, {}, gen);
   }
 }
 

@@ -28,8 +28,8 @@
 // no death: the acks that detour back are proof of life). Mask changes are
 // flooded as versioned LinkRecords (kLinkState) so every node's route table
 // can dodge remote degraded links among minimal paths
-// (Torus::route_table_avoiding, RouteTableCache keyed by dead set + the
-// full degraded-mask map).
+// (Torus::route_table_avoiding over the dead set and the full
+// degraded-mask map).
 //
 // On a confirmed death each survivor recomputes a full BFS route table
 // around the dead coordinate (Torus::route_table_avoiding) and installs it
@@ -73,7 +73,6 @@
 #include "obs/metrics.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "topo/route_cache.hpp"
 #include "via/vi.hpp"
 
 namespace meshmp::cluster {
@@ -291,7 +290,6 @@ class ClusterLifecycle {
   sim::Time heal_start_ MESHMP_GUARDED_BY(shared_mu_) = -1;
   std::vector<bool> heal_pending_ MESHMP_GUARDED_BY(shared_mu_);
   int heal_remaining_ MESHMP_GUARDED_BY(shared_mu_) = 0;
-  topo::RouteTableCache route_cache_;  ///< shared across nodes by dead-set
   /// "cluster.partition.*" — inc'd under shared_mu_; the registry reads it
   /// from the host between runs, so the accessor stays lock-free.
   obs::Counters counters_;

@@ -20,6 +20,17 @@ Torus::Torus(Coord shape, bool wrap) : shape_(shape), wrap_(wrap) {
     n *= shape[d];
   }
   size_ = static_cast<Rank>(n);
+  const int deg = 2 * ndims();
+  adj_.assign(static_cast<std::size_t>(size_) * static_cast<std::size_t>(deg),
+              -1);
+  for (Rank r = 0; r < size_; ++r) {
+    const Coord c = coord(r);
+    for (int i = 0; i < deg; ++i) {
+      if (auto nb = neighbor(c, Dir::from_index(i))) {
+        adj_[static_cast<std::size_t>(r * deg + i)] = rank(*nb);
+      }
+    }
+  }
 }
 
 int Torus::ports() const noexcept {
@@ -65,9 +76,16 @@ std::optional<Coord> Torus::neighbor(const Coord& c, Dir dir) const {
 }
 
 std::optional<Rank> Torus::neighbor(Rank r, Dir dir) const {
-  auto n = neighbor(coord(r), dir);
-  if (!n) return std::nullopt;
-  return rank(*n);
+  if (dir.dim < 0 || dir.dim >= ndims()) return std::nullopt;
+  const Rank n = neighbors(r)[static_cast<std::size_t>(dir.index())];
+  if (n < 0) return std::nullopt;
+  return n;
+}
+
+std::span<const Rank> Torus::neighbors(Rank r) const {
+  assert(r >= 0 && r < size_);
+  const auto deg = static_cast<std::size_t>(2 * ndims());
+  return {adj_.data() + static_cast<std::size_t>(r) * deg, deg};
 }
 
 int Torus::delta(const Coord& from, const Coord& to, int dim) const {
@@ -212,34 +230,23 @@ std::vector<std::int8_t> Torus::route_table_avoiding(
     Rank src, const std::vector<bool>& dead) const {
   assert(static_cast<Rank>(dead.size()) == size_);
   std::vector<std::int8_t> first(static_cast<std::size_t>(size_), -1);
-  std::vector<bool> seen(static_cast<std::size_t>(size_), false);
-  seen[static_cast<std::size_t>(src)] = true;
+  std::vector<char> seen(static_cast<std::size_t>(size_), 0);
+  seen[static_cast<std::size_t>(src)] = 1;
   std::vector<Rank> queue;
   queue.reserve(static_cast<std::size_t>(size_));
-  for (Dir d : directions(coord(src))) {
-    auto n = neighbor(src, d);
-    if (!n || seen[static_cast<std::size_t>(*n)] ||
-        dead[static_cast<std::size_t>(*n)]) {
-      continue;
-    }
-    seen[static_cast<std::size_t>(*n)] = true;
-    first[static_cast<std::size_t>(*n)] = static_cast<std::int8_t>(d.index());
-    queue.push_back(*n);
-  }
+  queue.push_back(src);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Rank cur = queue[head];
-    for (Dir d : directions(coord(cur))) {
-      auto n = neighbor(cur, d);
-      if (!n || seen[static_cast<std::size_t>(*n)] ||
-          dead[static_cast<std::size_t>(*n)]) {
-        continue;
-      }
-      seen[static_cast<std::size_t>(*n)] = true;
+    const auto row = neighbors(cur);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const auto n = static_cast<std::size_t>(row[i]);
+      if (row[i] < 0 || seen[n] || dead[n]) continue;
+      seen[n] = 1;
       // The first hop toward a node is the first hop toward whichever live
       // node discovered it.
-      first[static_cast<std::size_t>(*n)] =
-          first[static_cast<std::size_t>(cur)];
-      queue.push_back(*n);
+      first[n] = cur == src ? static_cast<std::int8_t>(i)
+                            : first[static_cast<std::size_t>(cur)];
+      queue.push_back(row[i]);
     }
   }
   return first;
@@ -277,21 +284,21 @@ std::vector<std::int8_t> Torus::route_table_avoiding(
         g != degs[static_cast<std::size_t>(cur)]) {
       continue;  // stale queue entry, a better path already settled
     }
-    for (Dir d : directions(coord(cur))) {
-      auto n = neighbor(cur, d);
-      if (!n || dead[static_cast<std::size_t>(*n)]) continue;
+    const auto row = neighbors(cur);
+    const DirMask sick = degraded[static_cast<std::size_t>(cur)];
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const auto n = static_cast<std::size_t>(row[i]);
+      if (row[i] < 0 || dead[n]) continue;
       const int nh = h + 1;
-      const int ng =
-          g + ((degraded[static_cast<std::size_t>(cur)] & dir_bit(d)) ? 1 : 0);
-      auto& bh = hops[static_cast<std::size_t>(*n)];
-      auto& bg = degs[static_cast<std::size_t>(*n)];
+      const int ng = g + static_cast<int>((sick >> i) & 1u);
+      auto& bh = hops[n];
+      auto& bg = degs[n];
       if (nh > bh || (nh == bh && ng >= bg)) continue;  // strict improvement
       bh = nh;
       bg = ng;
-      first[static_cast<std::size_t>(*n)] =
-          cur == src ? static_cast<std::int8_t>(d.index())
-                     : first[static_cast<std::size_t>(cur)];
-      pq.emplace(nh, ng, seq++, *n);
+      first[n] = cur == src ? static_cast<std::int8_t>(i)
+                            : first[static_cast<std::size_t>(cur)];
+      pq.emplace(nh, ng, seq++, row[i]);
     }
   }
   first[static_cast<std::size_t>(src)] = -1;

@@ -22,7 +22,6 @@
 #include "net/quality.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "topo/route_cache.hpp"
 #include "topo/torus.hpp"
 #include "via/agent.hpp"
 
@@ -187,24 +186,27 @@ TEST(FltGrayRoute, AvoidsDegradedEgressWithoutLengtheningRoutes) {
   EXPECT_EQ(t.route_table_avoiding(src, dead, zeros), plain);
 }
 
-TEST(FltGrayRoute, CacheKeysOnDegradedSetDigest) {
+TEST(FltGrayRoute, DegradedSetsSteerDiagonalToDifferentFirstHops) {
   const topo::Torus t(topo::Coord{4, 4});
   const std::vector<bool> dead(static_cast<std::size_t>(t.size()), false);
-  std::vector<topo::DirMask> degA(static_cast<std::size_t>(t.size()), 0);
-  std::vector<topo::DirMask> degB(static_cast<std::size_t>(t.size()), 0);
+  std::vector<topo::DirMask> degX(static_cast<std::size_t>(t.size()), 0);
+  std::vector<topo::DirMask> degY(static_cast<std::size_t>(t.size()), 0);
   const topo::Rank src = t.rank(topo::Coord{0, 0});
-  degA[static_cast<std::size_t>(src)] = topo::dir_bit(kPlusX);
-  degB[static_cast<std::size_t>(src)] = topo::dir_bit(topo::Dir{1, +1});
+  const topo::Dir plus_y{1, +1};
+  degX[static_cast<std::size_t>(src)] = topo::dir_bit(kPlusX);
+  degY[static_cast<std::size_t>(src)] = topo::dir_bit(plus_y);
 
-  topo::RouteTableCache cache;
-  const auto a1 = cache.get(t, src, dead, degA);
-  const auto b = cache.get(t, src, dead, degB);
-  const auto a2 = cache.get(t, src, dead, degA);
-  // A score change (different degraded set) must never be served the
-  // other set's table; the same set must round-trip identically.
-  EXPECT_NE(a1, b);
-  EXPECT_EQ(a1, a2);
-  EXPECT_EQ(a1, t.route_table_avoiding(src, dead, degA));
+  // The diagonal destination has two minimal first hops; each degraded set
+  // must steer it onto the other one. A table computed for one score epoch
+  // is therefore wrong for the next, which is why refresh_routes reruns the
+  // BFS on every mask change.
+  const auto x = t.route_table_avoiding(src, dead, degX);
+  const auto y = t.route_table_avoiding(src, dead, degY);
+  const auto diag = static_cast<std::size_t>(t.rank(topo::Coord{1, 1}));
+  EXPECT_EQ(x[diag], static_cast<std::int8_t>(plus_y.index()));
+  EXPECT_EQ(y[diag], static_cast<std::int8_t>(kPlusX.index()));
+  EXPECT_NE(x, y);
+  EXPECT_EQ(x, t.route_table_avoiding(src, dead, degX)) << "not repeatable";
 }
 
 // --- phi boundary + asymmetric sever ---------------------------------------

@@ -1,12 +1,17 @@
-// Unit and property tests for mesh/torus geometry, SDF routing and the OPT
-// region partition.
+// Unit and property tests for mesh/torus geometry, SDF routing, the
+// degraded-mode route tables and the OPT region partition.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
+#include "chk/digest.hpp"
+#include "sim/rng.hpp"
 #include "topo/coords.hpp"
 #include "topo/partition.hpp"
 #include "topo/switched.hpp"
@@ -289,6 +294,190 @@ TEST(Switched, Distances) {
   EXPECT_EQ(s.size(), 128);
   EXPECT_EQ(s.distance(3, 3), 0);
   EXPECT_EQ(s.distance(3, 99), 1);
+}
+
+// --- degraded-mode route tables ----------------------------------------------
+
+// Every shape below, wrapped and as a plain mesh: the paper's 3-D torus, odd
+// and even rings, extent-2 dimensions (both directions reach the same
+// neighbour when wrapped), an extent-1 dimension and a 4-D lattice.
+std::vector<std::pair<Coord, bool>> route_shapes() {
+  std::vector<std::pair<Coord, bool>> shapes;
+  for (const bool wrap : {true, false}) {
+    for (const Coord& c : {Coord{4, 8, 4}, Coord{3, 3}, Coord{2, 4, 4},
+                           Coord{2, 2}, Coord{5}, Coord{4, 1, 3}, Coord{4, 4},
+                           Coord{2, 3, 2, 2}}) {
+      shapes.emplace_back(c, wrap);
+    }
+  }
+  return shapes;
+}
+
+struct RouteCase {
+  Rank src = 0;
+  std::vector<bool> dead;
+  std::vector<DirMask> degraded;
+};
+
+// A seeded route-table input: a live source, every other rank dead with
+// one probability and every rank's egress ports degraded with another.
+RouteCase random_route_case(const Torus& t, meshmp::sim::Rng& rng) {
+  constexpr double kP[] = {0.0, 0.05, 0.2, 0.45};
+  const double p_dead = kP[rng.below(4)];
+  const double p_degraded = kP[rng.below(4)];
+  const auto n = static_cast<std::size_t>(t.size());
+  const DirMask all = (DirMask{1} << (2 * t.ndims())) - 1;
+  RouteCase c;
+  c.src = static_cast<Rank>(rng.below(n));
+  c.dead.assign(n, false);
+  c.degraded.assign(n, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (static_cast<Rank>(r) != c.src && rng.bernoulli(p_dead)) {
+      c.dead[r] = true;
+    }
+    if (rng.bernoulli(p_degraded)) {
+      c.degraded[r] = static_cast<DirMask>(rng.next()) & all;
+    }
+  }
+  return c;
+}
+
+// Reference route geometry from coordinate arithmetic alone: per rank, the
+// set of first-hop directions (a DirMask) from `src` that start a live path
+// with the fewest hops and, among those, the fewest degraded links crossed
+// (no degraded mask: every shortest live path). Zero for src, dead ranks
+// and ranks the dead cut off.
+std::vector<DirMask> reference_first_hops(
+    const Torus& t, Rank src, const std::vector<bool>& dead,
+    const std::vector<DirMask>& degraded) {
+  const auto n = static_cast<std::size_t>(t.size());
+  const int nports = 2 * t.ndims();
+  std::vector<int> hops(n, -1);
+  std::vector<Rank> order{src};  // BFS order: non-decreasing hop count
+  hops[static_cast<std::size_t>(src)] = 0;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const Rank u = order[head];
+    for (int i = 0; i < nports; ++i) {
+      const auto nb = t.neighbor(t.coord(u), Dir::from_index(i));
+      if (!nb) continue;
+      const auto m = static_cast<std::size_t>(t.rank(*nb));
+      if (dead[m] || hops[m] >= 0) continue;
+      hops[m] = hops[static_cast<std::size_t>(u)] + 1;
+      order.push_back(t.rank(*nb));
+    }
+  }
+  // Every predecessor on a shortest path sits earlier in `order`, so one
+  // pass settles the fewest-degraded count and its first hops.
+  std::vector<int> degs(n, INT_MAX);
+  std::vector<DirMask> firsts(n, 0);
+  degs[static_cast<std::size_t>(src)] = 0;
+  for (const Rank u : order) {
+    const auto ui = static_cast<std::size_t>(u);
+    for (int i = 0; i < nports; ++i) {
+      const auto nb = t.neighbor(t.coord(u), Dir::from_index(i));
+      if (!nb) continue;
+      const auto m = static_cast<std::size_t>(t.rank(*nb));
+      if (dead[m] || hops[m] != hops[ui] + 1) continue;
+      const int g = degs[ui] + (degraded.empty()
+                                    ? 0
+                                    : static_cast<int>((degraded[ui] >> i) & 1u));
+      const DirMask f = u == src ? DirMask{1} << i : firsts[ui];
+      if (g < degs[m]) {
+        degs[m] = g;
+        firsts[m] = f;
+      } else if (g == degs[m]) {
+        firsts[m] |= f;
+      }
+    }
+  }
+  return firsts;
+}
+
+TEST(TorusRouteTable, FirstHopsLieOnShortestLivePaths) {
+  meshmp::sim::Rng rng(20050404);
+  for (const auto& [shape, wrap] : route_shapes()) {
+    const Torus t(shape, wrap);
+    SCOPED_TRACE(shape.str() + (wrap ? " torus" : " mesh"));
+    for (int i = 0; i < 150; ++i) {
+      const RouteCase c = random_route_case(t, rng);
+      const auto plain = t.route_table_avoiding(c.src, c.dead);
+      const auto aware = t.route_table_avoiding(c.src, c.dead, c.degraded);
+      const auto shortest = reference_first_hops(t, c.src, c.dead, {});
+      const auto fewest = reference_first_hops(t, c.src, c.dead, c.degraded);
+      ASSERT_EQ(plain.size(), static_cast<std::size_t>(t.size()));
+      ASSERT_EQ(aware.size(), plain.size());
+      for (std::size_t r = 0; r < plain.size(); ++r) {
+        if (shortest[r] == 0) {
+          // src, a dead rank, or one the dead disconnect.
+          EXPECT_EQ(plain[r], -1) << "case " << i << " rank " << r;
+          EXPECT_EQ(aware[r], -1) << "case " << i << " rank " << r;
+          continue;
+        }
+        ASSERT_GE(plain[r], 0) << "case " << i << " rank " << r;
+        ASSERT_GE(aware[r], 0) << "case " << i << " rank " << r;
+        EXPECT_TRUE((shortest[r] >> plain[r]) & 1)
+            << "case " << i << " rank " << r << ": not a shortest live path";
+        // Degraded masks never lengthen a route, and pick a path crossing
+        // the fewest degraded links.
+        EXPECT_TRUE((shortest[r] >> aware[r]) & 1)
+            << "case " << i << " rank " << r << ": degraded mask lengthened";
+        EXPECT_TRUE((fewest[r] >> aware[r]) & 1)
+            << "case " << i << " rank " << r << ": avoidable degraded link";
+      }
+      const std::vector<DirMask> zeros(c.degraded.size(), 0);
+      EXPECT_EQ(t.route_table_avoiding(c.src, c.dead, zeros), plain);
+    }
+  }
+}
+
+TEST(TorusRouteTable, AdjacencyRowsMatchCoordinateArithmetic) {
+  for (const auto& [shape, wrap] : route_shapes()) {
+    const Torus t(shape, wrap);
+    SCOPED_TRACE(shape.str() + (wrap ? " torus" : " mesh"));
+    for (Rank r = 0; r < t.size(); ++r) {
+      const Coord c = t.coord(r);
+      const auto row = t.neighbors(r);
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(2 * t.ndims()));
+      std::vector<Dir> linked;
+      for (int i = 0; i < 2 * t.ndims(); ++i) {
+        const Dir d = Dir::from_index(i);
+        const auto nb = t.neighbor(c, d);
+        EXPECT_EQ(row[static_cast<std::size_t>(i)], nb ? t.rank(*nb) : -1)
+            << "rank " << r << " dir " << d.str();
+        EXPECT_EQ(t.neighbor(r, d), nb ? std::optional<Rank>(t.rank(*nb))
+                                       : std::nullopt);
+        if (nb) linked.push_back(d);
+      }
+      // directions() yields exactly the linked entries, in row order.
+      EXPECT_EQ(t.directions(c), linked) << "rank " << r;
+    }
+    EXPECT_FALSE(t.neighbor(0, Dir{static_cast<std::int8_t>(t.ndims()), +1}))
+        << "a direction outside the torus has no link";
+  }
+}
+
+// Pins the exact tables of both overloads over 4,000 seeded inputs (8,000
+// tables). The digest was recorded from the coordinate-arithmetic BFS the
+// adjacency-table walk replaced, so any change to discovery order or
+// tie-breaking shows here before it moves a simulated result.
+TEST(TorusRouteTable, SeededTablesMatchPinnedDigest) {
+  meshmp::sim::Rng rng(0x7ab1e5);
+  std::uint64_t h = meshmp::chk::kFnvOffset;
+  int tables = 0;
+  for (const auto& [shape, wrap] : route_shapes()) {
+    const Torus t(shape, wrap);
+    for (int i = 0; i < 250; ++i) {
+      const RouteCase c = random_route_case(t, rng);
+      for (const auto& table :
+           {t.route_table_avoiding(c.src, c.dead),
+            t.route_table_avoiding(c.src, c.dead, c.degraded)}) {
+        h = meshmp::chk::fnv1a_bytes(h, table.data(), table.size());
+        ++tables;
+      }
+    }
+  }
+  EXPECT_EQ(tables, 8000);
+  EXPECT_EQ(h, 0xfd498af468922b24ULL);
 }
 
 }  // namespace
